@@ -35,7 +35,7 @@ from .fgab import (
     rationalized_rank,
     sequence_from_json,
 )
-from .intlin import matrix_from_json, matrix_to_json, snf_with_inverses
+from .intlin import _parse_int, matrix_from_json, matrix_to_json, snf_with_inverses
 from .ktwist import (
     Sphere3,
     SphereDisjointUnion,
@@ -174,19 +174,6 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, not a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ValueError(f"{what} is not a decimal integer: {value!r}") from None
-    raise ValueError(f"{what} must be an integer or decimal string")
-
-
 # --- payload handling ---------------------------------------------------------
 
 
@@ -209,12 +196,16 @@ def _read_payload(args) -> dict:
 def _handle_snf(args):
     payload = _read_payload(args)
     dec = snf_with_inverses(matrix_from_json(payload))
-    out = {
-        "factors": [str(d) for d in dec.factors],
-        "s": matrix_to_json(dec.s),
-        "u": matrix_to_json(dec.u),
-        "v": matrix_to_json(dec.v),
-    }
+    out = None
+    if args.format == "json":
+        # Only the JSON form prints the transforms, whose entries can pass
+        # Python's limit on int-to-str digits; the table needs the factors.
+        out = {
+            "factors": [str(d) for d in dec.factors],
+            "s": matrix_to_json(dec.s),
+            "u": matrix_to_json(dec.u),
+            "v": matrix_to_json(dec.v),
+        }
     rank = sum(1 for d in dec.factors if d != 0)
     table = _table(
         ["quantity", "value"],
@@ -233,7 +224,7 @@ def _group_from_payload(payload) -> FgAbGroup:
         orders = payload["orders"]
         if not isinstance(orders, list):
             raise ValueError("orders must be a list")
-        return FgAbGroup.from_orders([_as_int(o, "order") for o in orders])
+        return FgAbGroup.from_orders([_parse_int(o, "order") for o in orders])
     return group_from_json(payload)
 
 
@@ -433,7 +424,7 @@ def _handle_hp(args):
         if "k_total" not in payload or "hp_dim" not in payload:
             raise ValueError("check payload needs k_total and hp_dim")
         g = group_from_json(payload["k_total"])
-        result = chern_rank_check(g, _as_int(payload["hp_dim"], "hp_dim"))
+        result = chern_rank_check(g, _parse_int(payload["hp_dim"], "hp_dim"))
         out = {
             "passed": result.passed,
             "k_rank": result.k_rank,

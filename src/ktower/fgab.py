@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .intlin import (
     IntMatrix,
+    _parse_int,
     integer_kernel,
     lattice_basis,
     lattice_contains,
@@ -238,8 +239,9 @@ class Homomorphism:
     Validity is checked eagerly: for a source generator of order d, d
     times its image column must fall in the target's relation lattice,
     otherwise the matrix does not define a homomorphism and construction
-    raises.  Torsion rows are reduced modulo their generator order, so
-    equal maps have equal matrices.
+    raises.  Only ``identity`` and ``compose``, whose results are valid by
+    construction, skip the check.  Torsion rows are reduced modulo their
+    generator order, so equal maps have equal matrices.
     """
 
     source: FgAbGroup
@@ -247,6 +249,21 @@ class Homomorphism:
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
+        self._reduce()
+        self._check_valid()
+
+    @classmethod
+    def _trusted(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> "Homomorphism":
+        """A map valid by construction (an identity, a composite of valid
+        maps): torsion rows are reduced as usual, validation is skipped."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "matrix", matrix)
+        f._reduce()
+        return f
+
+    def _reduce(self) -> None:
         if self.matrix.rows != self.target.generator_count:
             raise ValueError("matrix row count must match target generator count")
         if self.matrix.cols != self.source.generator_count:
@@ -260,7 +277,6 @@ class Homomorphism:
             for i, row in enumerate(self.matrix.entries)
         )
         object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
-        self._check_valid()
 
     def _check_valid(self) -> None:
         orders = self.source.generator_orders()
@@ -283,7 +299,7 @@ class Homomorphism:
 
     @staticmethod
     def identity(g: FgAbGroup) -> "Homomorphism":
-        return Homomorphism(g, g, IntMatrix.identity(g.generator_count))
+        return Homomorphism._trusted(g, g, IntMatrix.identity(g.generator_count))
 
     @staticmethod
     def zero(source: FgAbGroup, target: FgAbGroup) -> "Homomorphism":
@@ -299,7 +315,7 @@ class Homomorphism:
         """self after other (self.compose(g) is x -> self(g(x)))."""
         if other.target != self.source:
             raise ValueError("composition shape mismatch")
-        return Homomorphism(other.source, self.target, self.matrix @ other.matrix)
+        return Homomorphism._trusted(other.source, self.target, self.matrix @ other.matrix)
 
     def is_zero_map(self) -> bool:
         return self.matrix.is_zero()
@@ -441,10 +457,12 @@ def group_to_json(g: FgAbGroup) -> dict:
 def group_from_json(obj) -> FgAbGroup:
     if not isinstance(obj, dict) or "free_rank" not in obj or "torsion" not in obj:
         raise ValueError("group JSON must carry free_rank and torsion")
-    torsion = obj["torsion"]
+    free_rank, torsion = obj["free_rank"], obj["torsion"]
+    if not isinstance(free_rank, int) or isinstance(free_rank, bool):
+        raise ValueError("group free_rank must be a JSON integer")
     if not isinstance(torsion, list):
         raise ValueError("group torsion must be a list")
-    return FgAbGroup(int(obj["free_rank"]), tuple(int(str(d), 10) for d in torsion))
+    return FgAbGroup(free_rank, tuple(_parse_int(d, "torsion order") for d in torsion))
 
 
 def hom_to_json(f: Homomorphism) -> dict:

@@ -445,14 +445,19 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
 # integers too.
 
 
-def _parse_int(x) -> int:
-    if isinstance(x, bool):
-        raise ValueError("booleans are not matrix entries")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        return int(x, 10)
-    raise ValueError(f"expected integer or decimal string, got {type(x).__name__}")
+def _parse_int(value, what: str) -> int:
+    """An integer sent as a JSON number or a decimal string; booleans and
+    every other type are rejected with a one-line reason."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError as exc:  # a bad literal, or more digits than Python converts
+            raise ValueError(f"{what}: {exc}") from None
+    raise ValueError(f"{what} must be an integer or decimal string")
 
 
 def matrix_to_json(a: IntMatrix) -> dict:
@@ -478,5 +483,5 @@ def matrix_from_json(obj) -> IntMatrix:
     for row in entries:
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError("matrix JSON row width disagrees with declared cols")
-        data.append(tuple(_parse_int(x) for x in row))
+        data.append(tuple(_parse_int(x, "matrix entry") for x in row))
     return IntMatrix(rows, cols, tuple(data))

@@ -21,7 +21,7 @@ from .fgab import (
     cokernel,
     element_order,
     image,
-    kernel,
+    image_lattice,
 )
 from .intlin import IntMatrix, lattice_equal
 
@@ -241,31 +241,39 @@ def constant_tower(
 # --- image chains and Mittag-Leffler ----------------------------------------
 
 
-def _image_lattice_of(f: Homomorphism) -> IntMatrix:
-    return f.matrix.hstack(f.target.relation_matrix())
-
-
-def _image_lattices(t: InverseTower, level: int, depth: int) -> list[IntMatrix]:
-    """Lattices realizing im(G_{level+k} -> G_level) for k = 0..depth."""
-    if level + depth > t.bound:
-        raise ValueError("image chain would exceed the certification bound")
-    out = []
-    f = Homomorphism.identity(t.group_at(level))
-    out.append(_image_lattice_of(f))
-    for k in range(1, depth + 1):
-        f = f.compose(t.map_at(level + k))
-        out.append(_image_lattice_of(f))
-    return out
-
-
 def image_chain(t: InverseTower, level: int, depth: int) -> list[FgAbGroup]:
     """Canonical forms of im(G_{level+k} -> G_level), k = 0..depth."""
     if level + depth > t.bound:
         raise ValueError("image chain would exceed the certification bound")
-    out = []
-    for k in range(depth + 1):
-        out.append(image(t.composite(level, k))[0])
+    f = Homomorphism.identity(t.group_at(level))
+    out = [image(f)[0]]
+    for k in range(1, depth + 1):
+        f = f.compose(t.map_at(level + k))
+        out.append(image(f)[0])
     return out
+
+
+def _bound_composites(t: InverseTower):
+    """Yield (L, C_L, stable) for L = base..bound-1, ascending.
+
+    C_L: G_bound -> G_L is the deepest composite the bound allows, and
+    ``stable`` says whether im(C_L) equals the image of the one-shorter
+    composite D_L: G_{bound-1} -> G_L, compared as realizing lattices.
+    One backward sweep builds every D_L (D_{bound-1} = id and
+    D_L = map_at(L+1) o D_{L+1}); C_L = D_L o map_at(bound) is built only
+    when the caller asks for level L.  Every map is fetched in ascending
+    order first, so a misconnected tower is reported at its lowest bad
+    level.
+    """
+    if t.bound <= t.base:
+        return
+    maps = [t.map_at(n) for n in range(t.base + 1, t.bound + 1)]
+    d = [Homomorphism.identity(t.group_at(t.bound - 1))]
+    for f in reversed(maps[:-1]):
+        d.append(f.compose(d[-1]))
+    for level, d_level in zip(range(t.base, t.bound), reversed(d)):
+        c = d_level.compose(maps[-1])
+        yield level, c, lattice_equal(image_lattice(d_level), image_lattice(c))
 
 
 def is_mittag_leffler(t: InverseTower) -> MLVerdict:
@@ -280,9 +288,8 @@ def is_mittag_leffler(t: InverseTower) -> MLVerdict:
         return MLForced("eventually-constant tail: image chains are constant from the tail on")
     if isinstance(t.tail, LevelwiseFinite):
         return MLForced("levelwise finite: decreasing subgroup chains in a finite group stabilize")
-    for level in range(t.base, t.bound):
-        lats = _image_lattices(t, level, t.bound - level)
-        if not lattice_equal(lats[-2], lats[-1]):
+    for level, _, stable in _bound_composites(t):
+        if not stable:
             return MLFailedAt(
                 level,
                 f"image chain at level {level} is still strictly decreasing at depth {t.bound - level}",
@@ -307,20 +314,6 @@ def lim1(t: InverseTower) -> Lim1Descriptor:
 
 
 # --- inverse limit -----------------------------------------------------------
-
-
-def _stable_image_lattice(t: InverseTower, level: int) -> Optional[IntMatrix]:
-    lats = _image_lattices(t, level, t.bound - level)
-    if len(lats) >= 2 and not lattice_equal(lats[-2], lats[-1]):
-        return None
-    return lats[-1]
-
-
-def _subgroup_of(ambient: FgAbGroup, gens: IntMatrix) -> FgAbGroup:
-    """Canonical form of the subgroup of ``ambient`` generated by the
-    columns of ``gens`` (relation columns are harmless: they generate 0)."""
-    f = Homomorphism(FgAbGroup.free(gens.cols), ambient, gens)
-    return image(f)[0]
 
 
 def _first_all_trivial(t, lo: int, hi: int) -> Optional[int]:
@@ -356,15 +349,14 @@ def inverse_limit(t: InverseTower) -> LimitDescriptor:
         if t.bound - t.base < 1:
             return UnprovenLimit(t.bound, note="bound too small to analyze stable images")
         levels = list(range(t.base, t.bound))
-        stable = {}
-        for level in levels:
-            lat = _stable_image_lattice(t, level)
-            if lat is None:
+        stable, groups = {}, {}
+        for level, c, is_stable in _bound_composites(t):
+            if not is_stable:
                 return UnprovenLimit(
                     t.bound, note=f"image chain at level {level} not stabilized within bound"
                 )
-            stable[level] = lat
-        groups = {level: _subgroup_of(t.group_at(level), stable[level]) for level in levels}
+            stable[level] = image_lattice(c)
+            groups[level] = image(c)[0]
         orders = [groups[level].order() for level in levels]
         carried_iso = True
         for level in levels[:-1]:
@@ -395,7 +387,9 @@ def inverse_limit(t: InverseTower) -> LimitDescriptor:
 
 
 def _is_isomorphism(f: Homomorphism) -> bool:
-    return kernel(f)[0].is_trivial() and cokernel(f).is_trivial()
+    # A surjective endomorphism of a finitely generated abelian group is
+    # injective (such groups are Hopfian), so no kernel is needed.
+    return f.source == f.target and cokernel(f).is_trivial()
 
 
 def direct_limit(t: DirectTower) -> LimitDescriptor:
@@ -415,8 +409,12 @@ def direct_limit(t: DirectTower) -> LimitDescriptor:
     if n0 is not None:
         return TrivialLimit(note=f"levels trivial from {n0} through bound {t.bound}")
     iso_from = None
+    iso: dict[Homomorphism, bool] = {}  # one test per distinct connecting map
     for n in range(t.base, t.bound):
-        if _is_isomorphism(t.map_at(n)):
+        f = t.map_at(n)
+        if f not in iso:
+            iso[f] = _is_isomorphism(f)
+        if iso[f]:
             if iso_from is None:
                 iso_from = n
         else:

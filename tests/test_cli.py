@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import random
 
 import pytest
 
@@ -10,7 +12,7 @@ from ktower.fgab import (
     group_to_json,
     hom_to_json,
 )
-from ktower.intlin import IntMatrix, matrix_to_json
+from ktower.intlin import IntMatrix, determinant, matrix_to_json
 from ktower.towers import TrivialLimit, UnprovenLimit
 
 
@@ -61,6 +63,21 @@ class TestSnf:
         assert code == 0
         assert "factors" in out and "4" in out
 
+    def test_table_format_with_huge_transforms(self, capsys, monkeypatch):
+        # the transforms of this matrix have entries past Python's 4300-digit
+        # int-to-str limit; the table shows only factors and rank
+        rng = random.Random(30)
+        rows = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+        payload = json.dumps(matrix_to_json(IntMatrix.from_rows(rows)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(capsys, "snf", "--format", "table")
+        assert code == 0 and err == ""
+        lines = dict(line.split(None, 1) for line in out.splitlines()[1:])
+        factors = [int(x) for x in lines["factors"].split(", ")]
+        assert len(factors) == 30 and lines["rank"].strip() == "30"
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert math.prod(factors) == abs(determinant(IntMatrix.from_rows(rows)))
+
 
 class TestGroup:
     def test_from_orders(self, capsys, tmp_path):
@@ -84,6 +101,31 @@ class TestGroup:
         payload = write_payload(tmp_path, group_to_json(FgAbGroup.free(2)))
         code, out, _ = run(capsys, "group", "--input", payload)
         assert "infinite" in out
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"free_rank": [1], "torsion": []},
+            {"free_rank": True, "torsion": []},
+            {"free_rank": 1.5, "torsion": []},
+            {"free_rank": "1", "torsion": []},
+            {"free_rank": 0, "torsion": [[2]]},
+            {"free_rank": 0, "torsion": [True]},
+            {"free_rank": 0, "torsion": [2.0]},
+            {"free_rank": 0, "torsion": ["two"]},
+        ],
+    )
+    def test_malformed_group_json_exits_one(self, capsys, monkeypatch, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, err = run(capsys, "group", "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_group_json_accepts_numbers_and_strings(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"free_rank":1,"torsion":[2,"6"]}'))
+        code, out, _ = run(capsys, "group", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["group"] == {"free_rank": 1, "torsion": ["2", "6"]}
 
     def test_bad_orders_rejected(self, capsys, tmp_path):
         payload = write_payload(tmp_path, {"orders": [True]})

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -180,6 +180,35 @@ class TestHomomorphisms:
         rng = random.Random(seed)
         f = random_valid_hom(rng, g, h)
         assert f.source == g and f.target == h
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups, groups, groups, st.integers(0, 10**6))
+    def test_trusted_composite_matches_validated(self, a, b, c, seed):
+        # compose and identity skip validation; rebuilding their results
+        # through the validating constructor must give equal maps
+        rng = random.Random(seed)
+        g, f = random_valid_hom(rng, a, b), random_valid_hom(rng, b, c)
+        assert f.compose(g) == Homomorphism(a, c, f.matrix @ g.matrix)
+        assert Homomorphism.identity(a) == Homomorphism(a, a, IntMatrix.identity(a.generator_count))
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups, groups, st.integers(0, 10**6))
+    def test_invalid_matrix_still_raises(self, g, h, seed):
+        # one more than a valid entry breaks validity exactly where a torsion
+        # generator of order d meets a target generator of order m with
+        # m = 0 or m / gcd(d, m) > 1
+        f = random_valid_hom(random.Random(seed), g, h)
+        spots = [
+            (i, j)
+            for j, d in enumerate(g.generator_orders()) if d
+            for i, m in enumerate(h.generator_orders()) if m == 0 or m // math.gcd(d, m) > 1
+        ]
+        assume(spots)
+        i, j = spots[0]
+        rows = [list(r) for r in f.matrix.entries]
+        rows[i][j] += 1
+        with pytest.raises(ValueError):
+            Homomorphism(g, h, IntMatrix.from_rows(rows, cols=g.generator_count))
 
 
 class TestKernelImageCokernel:

@@ -1,15 +1,21 @@
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ktower.fgab
+from helpers import random_valid_hom
 from ktower.fgab import (
     FgAbGroup,
     Homomorphism,
     check_exact,
+    cokernel,
     group_to_json,
     hom_to_json,
+    image,
     kernel,
     present,
 )
@@ -49,6 +55,7 @@ from ktower.towers import (
     truncated_product,
     unbounded_torsion_witness,
 )
+from ktower.towers import _is_isomorphism
 
 Z = FgAbGroup.free(1)
 
@@ -305,6 +312,80 @@ class TestTruncatedProducts:
         zero_in = Homomorphism.zero(FgAbGroup.trivial(), ker_group)
         zero_out = Homomorphism.zero(tgt.group, FgAbGroup.trivial())
         assert check_exact([zero_in, ker_incl, f, zero_out]).exact
+
+
+def count_compositions(monkeypatch):
+    calls = []
+    compose = Homomorphism.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Homomorphism, "compose", counted)
+    return calls
+
+
+class TestLinearCost:
+    """Tower verdicts build each deepest composite once: O(bound) compositions."""
+
+    @pytest.mark.parametrize("bound", [64, 128])
+    def test_inverse_limit_compositions_linear(self, monkeypatch, bound):
+        calls = count_compositions(monkeypatch)
+        v = inverse_limit(builtin_tower("mod2-powers", bound=bound))
+        assert isinstance(v, ProfiniteNontrivial)
+        assert len(calls) <= 2 * bound
+
+    @pytest.mark.parametrize("bound", [16, 64])
+    def test_lim1_failing_at_base_no_dearer(self, monkeypatch, bound):
+        # a level-by-level scan stopping at the base level composed `bound` maps
+        calls = count_compositions(monkeypatch)
+        v = lim1(doubling_tower(bound=bound))
+        assert v.witness_level == 0
+        assert len(calls) <= bound
+
+    def test_image_chain_single_pass(self, monkeypatch):
+        t = doubling_tower(bound=64)
+        calls = count_compositions(monkeypatch)
+        assert len(image_chain(t, 0, 64)) == 65
+        assert len(calls) == 64
+
+    def test_image_chain_matches_composites(self):
+        t = builtin_tower("mod2-powers", bound=12)
+        chain = image_chain(t, 3, 9)
+        assert chain == [image(t.composite(3, k))[0] for k in range(10)]
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("z-times-2", None), ("mod2-powers", None), ("trivial", None),
+         ("constant", {"group": group_to_json(FgAbGroup(1, (2, 4)))})],
+    )
+    def test_direct_limit_never_takes_kernels(self, monkeypatch, name, params):
+        def forbidden(f):
+            raise AssertionError("direct_limit called fgab.kernel")
+
+        original = ktower.fgab.kernel
+        for mod in [m for n, m in sys.modules.items() if n.startswith("ktower")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, forbidden)
+        direct_limit(builtin_tower(name, bound=32, direct=True, params=params))
+
+
+small_groups = st.tuples(
+    st.integers(0, 1),
+    st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2),
+).map(lambda t: FgAbGroup.from_orders([0] * t[0] + t[1]))
+
+
+@given(small_groups, small_groups, st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_isomorphism_by_cokernel_matches_kernel_oracle(a, b, endo, seed):
+    # the oracle is the definition the cokernel-only test replaced
+    target = a if endo else b
+    f = random_valid_hom(random.Random(seed), a, target)
+    oracle = kernel(f)[0].is_trivial() and cokernel(f).is_trivial()
+    assert _is_isomorphism(f) == oracle
 
 
 class TestTowerJson:
