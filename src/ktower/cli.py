@@ -583,6 +583,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> _Parser:
+    """The parser, built on the first call and shared by every later one.
+
+    Parsing leaves no state on the parser (each parse fills a fresh
+    Namespace), so reuse cannot carry a flag from one call to the next.
+    It is not built at import, which keeps interpreter start-up lean.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 _HANDLERS = {
     "snf": _handle_snf,
     "group": _handle_group,
@@ -597,8 +613,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.bound < 2:
         print("error: --bound must be at least 2", file=sys.stderr)
         return 1

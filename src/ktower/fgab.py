@@ -69,16 +69,29 @@ class FgAbGroup:
             return FgAbGroup(0, ())
         return FgAbGroup(0, (order,))
 
+    @classmethod
+    def _trusted(cls, free_rank: int, torsion: tuple[int, ...]) -> "FgAbGroup":
+        """A group already in canonical form (a tuple of ints, each >= 2,
+        forming a divisibility chain): validation is skipped."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "free_rank", free_rank)
+        object.__setattr__(g, "torsion", torsion)
+        return g
+
     @staticmethod
     def from_orders(orders: Sequence[int]) -> "FgAbGroup":
-        """Canonical form of a direct sum of cyclic groups of given orders."""
+        """Canonical form of a direct sum of cyclic groups of given orders.
+
+        >>> FgAbGroup.from_orders([0, 4, 6, 1])
+        FgAbGroup(free_rank=1, torsion=(2, 12))
+        """
         acc = [int(x) for x in orders]
         if any(x < 0 for x in acc):
             raise ValueError("cyclic orders must be nonnegative")
-        free = sum(1 for x in acc if x == 0)
-        tors = [x for x in acc if x >= 2]
-        pres = present(IntMatrix.diagonal(tors))
-        return FgAbGroup(free, pres.group.torsion)
+        chain: list[int] = []
+        for x in acc:
+            _insert_order(chain, x)
+        return FgAbGroup._trusted(acc.count(0), tuple(chain))
 
     @property
     def generator_count(self) -> int:
@@ -111,6 +124,27 @@ class FgAbGroup:
         return IntMatrix(p, t, tuple(rows))
 
 
+def _insert_order(chain: list[int], a: int) -> None:
+    """Add Z/a to the group whose invariant factors are ``chain``.
+
+    Sweeps the chain from its largest factor down with
+    Z/a + Z/c = Z/gcd(a, c) + Z/lcm(a, c): each factor becomes the lcm,
+    the gcd is carried to the next smaller factor, and whatever is still
+    carried at the bottom becomes a new smallest factor.  Orders 0 and 1
+    leave the torsion unchanged.
+    """
+    if a < 2:
+        return
+    for j in range(len(chain) - 1, -1, -1):
+        c = chain[j]
+        g = math.gcd(a, c)
+        chain[j] = c // g * a
+        a = g
+        if a == 1:
+            return
+    chain.insert(0, a)
+
+
 def rationalized_rank(g: FgAbGroup) -> int:
     """dim_Q (G tensor Q); torsion dies under rationalization."""
     return g.free_rank
@@ -122,20 +156,35 @@ def direct_sum(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     >>> direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(3))
     FgAbGroup(free_rank=0, torsion=(6,))
     """
-    pres = present(IntMatrix.diagonal(g.torsion + h.torsion))
-    return FgAbGroup(g.free_rank + h.free_rank, pres.group.torsion)
+    chain = list(g.torsion)
+    for d in h.torsion:
+        _insert_order(chain, d)
+    return FgAbGroup._trusted(g.free_rank + h.free_rank, tuple(chain))
+
+
+# Most generators a power may produce; SU(19) has 2^18 cyclic factors.
+MAX_POWER_GENERATORS = 2**20
 
 
 def power(g: FgAbGroup, k: int) -> FgAbGroup:
     """k-fold direct sum of G with itself.
 
     Repeating each invariant factor k times keeps the divisibility chain,
-    so the result is already canonical.
+    so the result is already canonical.  A result with more than
+    MAX_POWER_GENERATORS generators is refused before anything is built;
+    a power of the trivial group has none, whatever k is.
     """
     if k < 0:
         raise ValueError("power requires k >= 0")
-    torsion = tuple(d for d in g.torsion for _ in range(k))
-    return FgAbGroup(g.free_rank * k, torsion)
+    if g.generator_count * k > MAX_POWER_GENERATORS:
+        # the count itself is not printed: it can have too many digits for str()
+        raise ValueError(f"a power with more than {MAX_POWER_GENERATORS} generators is refused")
+    if len(g.torsion) == 1:
+        # one C-level repetition: at 2^18 factors about 50x faster than a generator
+        torsion = g.torsion * k
+    else:
+        torsion = tuple(d for d in g.torsion for _ in range(k))
+    return FgAbGroup._trusted(g.free_rank * k, torsion)
 
 
 @dataclass(frozen=True)

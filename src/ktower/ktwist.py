@@ -10,8 +10,9 @@ map-independent rules (cofinal triviality) or reported Unproven.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
-from typing import Callable, Optional, Union
+from itertools import islice
+from math import gcd
+from typing import Callable, Iterator, Optional, Union
 
 from .fgab import FgAbGroup, power
 from .towers import (
@@ -89,6 +90,26 @@ TwistedSpace = Union[SUFinite, SUInfinite, Sphere3, SphereDisjointUnion]
 # --- the order parameter ------------------------------------------------------
 
 
+def _running_orders(level: int) -> Iterator[int]:
+    """cyclic_order(n, level) for n = 2, 3, ... in turn.
+
+    One running binomial, C(level+i, i) = C(level+i-1, i-1) * (level+i) / i,
+    and one running gcd serve every n, so the first m orders cost m
+    steps.  Once the gcd reaches 1 it stays there and no more binomials
+    are formed.
+    """
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    binom, g, i = 1, 0, 0
+    while g != 1:
+        i += 1
+        binom = binom * (level + i) // i
+        g = gcd(g, binom - 1)
+        yield g
+    while True:
+        yield 1
+
+
 def cyclic_order(n: int, level: int) -> int:
     """Common order of the cyclic factors in the twisted K-theory of
     SU(n) at the given level: gcd of C(level+i, i) - 1 over i = 1..n-1.
@@ -100,12 +121,7 @@ def cyclic_order(n: int, level: int) -> int:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    g = 0
-    for i in range(1, n):
-        g = gcd(g, comb(level + i, i) - 1)
-    return g
+    return next(islice(_running_orders(level), n - 2, None))
 
 
 def first_trivial_rank(level: int, bound: int) -> Optional[int]:
@@ -115,8 +131,8 @@ def first_trivial_rank(level: int, bound: int) -> Optional[int]:
     is reached every later level is 1 as well; a hit certifies cofinal
     triviality outright, not merely within the window.
     """
-    for n in range(2, bound + 1):
-        if cyclic_order(n, level) == 1:
+    for n, order in zip(range(2, bound + 1), _running_orders(level)):
+        if order == 1:
             return n
     return None
 
@@ -136,18 +152,11 @@ class DivisibilityTable:
 def divisibility_table(level: int, n_max: int) -> DivisibilityTable:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    orders = tuple(cyclic_order(n, level) for n in range(2, n_max + 1))
-    # the order at any larger n must divide the order at any smaller n
-    chain_ok = all(
-        orders[earlier] % orders[later] == 0
-        for later in range(len(orders))
-        for earlier in range(later)
-    )
-    first_one = None
-    for n_i, o in enumerate(orders):
-        if o == 1:
-            first_one = n_i + 2
-            break
+    orders = tuple(islice(_running_orders(level), n_max - 1))
+    # the order at any larger n must divide the order at any smaller n;
+    # divisibility is transitive, so neighbours suffice
+    chain_ok = all(a % b == 0 for a, b in zip(orders, orders[1:]))
+    first_one = orders.index(1) + 2 if 1 in orders else None
     return DivisibilityTable(
         level=level, n_max=n_max, orders=orders, chain_ok=chain_ok, first_one=first_one
     )

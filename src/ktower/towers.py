@@ -558,8 +558,9 @@ def unbounded_torsion_witness(
     orders never grew, which is no evidence at all.
     """
     records: list[int] = []
+    o = 1  # all_ones_order(family, upto), kept as a running lcm
     for upto in range(family.first, bound + 1):
-        o = all_ones_order(family, upto)
+        o = math.lcm(o, family.order(upto))
         if not records or o > records[-1]:
             records.append(o)
     if len(records) < 2:

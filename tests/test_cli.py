@@ -2,9 +2,13 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ktower import cli
 from ktower.cli import canonical_json, group_text, main, verdict_to_json
 from ktower.fgab import (
     FgAbGroup,
@@ -447,3 +451,114 @@ class TestPlumbing:
         assert verdict_to_json(UnprovenLimit(5, note=""))["bound"] == 5
         with pytest.raises(ValueError):
             verdict_to_json(object())
+
+
+class TestGeneratorLimit:
+    """SU(40) at a level whose order is above 1 has 2^39 cyclic factors,
+    beyond fgab.MAX_POWER_GENERATORS: refused up front, never built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ktwist", "--space", "su", "--n", "40", "--level", "997"],
+            ["ktwist", "--space", "su", "--n", "40", "--level", "997", "--homology",
+             "--format", "json"],
+            ["hp", "--twisted", "--space", "su", "--n", "40", "--level", "997"],
+            ["hp", "--twisted", "--space", "su", "--n", "40", "--level", "997",
+             "--format", "json"],
+            # 2^14999 generators: a count too long to print in decimal
+            ["ktwist", "--space", "su", "--n", "15000", "--level", "15013"],
+        ],
+    )
+    def test_too_many_generators_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: a power with more than 1048576 generators is refused\n"
+
+    def test_order_one_totals_still_succeed(self, capsys):
+        code, out, _ = run(capsys, "ktwist", "--space", "su", "--n", "40", "--level", "1",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["k_total"]["group"] == {"free_rank": 0, "torsion": []}
+        assert "2^(n-1) = 549755813888 factors" in data["provenance"][1]
+        code, out, _ = run(capsys, "hp", "--twisted", "--space", "su", "--n", "40",
+                           "--level", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dims"] == {"even": 0, "odd": 0}
+
+
+def call(argv, payload=None):
+    """(exit code, stdout, stderr) of one main call; argparse errors exit."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(payload or ""), io.StringIO(), io.StringIO()
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+SU = ["ktwist", "--space", "su", "--n", "4", "--level", "6", "--format", "json"]
+SHARED_SEQUENCE = [
+    (SU + ["--homology"], None),
+    (SU, None),
+    (["grid", "4", "3", "--no-such-flag"], None),
+    (SU, None),
+    (["tower", "lim", "--builtin", "z-times-2", "--bound", "1"], None),
+    (["group", "--format", "json"], json.dumps({"orders": [4, 6, 0]})),
+    (["ktwist", "--space", "su-inf", "--level", "2", "--bound", "2"], None),
+    (["ktwist", "--space", "su-inf", "--level", "2"], None),
+    (["product", "--truncate", "12", "--witness-bound", "5"], None),
+    (["product"], None),
+    (["hp", "--space", "su", "--n", "5", "--format", "json"], None),
+    (["ktwist", "--table", "4", "3"], None),
+    (["ktwist", "--space", "s3", "--twist", "5", "--homology"], None),
+    (["ktwist", "--space", "s3", "--twist", "5"], None),
+    (["ktwist", "--level", "3"], None),
+]
+
+
+class TestSharedParser:
+    def test_parser_is_built_lazily(self):
+        code = "import ktower.cli as c; assert c._PARSER is None; c._parser(); assert c._PARSER"
+        env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_one_parser_serves_every_call(self, monkeypatch):
+        fresh = []
+        for argv, payload in SHARED_SEQUENCE:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(call(argv, payload))
+
+        built = []
+        build = cli._build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_build_parser", counting_build)
+        shared = [call(argv, payload) for argv, payload in SHARED_SEQUENCE]
+        assert len(built) == 1
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes[2] == 1 and "--no-such-flag" in shared[2][2]
+        assert codes[4] == 1 and "--bound" in shared[4][2]
+        assert codes[6] == 3 and codes[7] == 0
+
+    def test_no_flag_leaks_between_calls(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        _, with_flag, _ = call(SU + ["--homology"])
+        _, without, _ = call(SU)
+        assert json.loads(with_flag)["theory"] == "k-homology"
+        assert json.loads(without)["theory"] == "k-theory"
+        first = cli._parser().parse_args(SU + ["--homology"])
+        second = cli._parser().parse_args(SU)
+        assert first is not second
+        assert first.homology and not second.homology

@@ -13,6 +13,7 @@ from helpers import (
     torsion_count,
 )
 from ktower.fgab import (
+    MAX_POWER_GENERATORS,
     ExactnessReport,
     FgAbGroup,
     GroupElement,
@@ -131,8 +132,82 @@ class TestSums:
             acc = direct_sum(acc, g)
         assert power(g, k) == acc
 
+    def test_power_limit_is_checked_before_building(self):
+        assert power(FgAbGroup.cyclic(3), MAX_POWER_GENERATORS).generator_count == MAX_POWER_GENERATORS
+        with pytest.raises(ValueError, match="refused"):
+            power(FgAbGroup.cyclic(3), MAX_POWER_GENERATORS + 1)
+        # far too large to allocate: only an up-front check returns at all
+        with pytest.raises(ValueError, match="refused"):
+            power(FgAbGroup(0, (2, 4)), 2**60)
+        with pytest.raises(ValueError, match="refused"):
+            power(FgAbGroup.free(1), 2**60)
+        assert power(FgAbGroup.trivial(), 2**39) == FgAbGroup.trivial()
+
     def test_rationalized_rank(self):
         assert rationalized_rank(FgAbGroup(3, (2, 2))) == 3
+
+
+# cyclic orders as they arrive from users: 0 (free), 1 (trivial), repeats
+# of small orders, and values far beyond anything a matrix route would enjoy
+cyclic_orders = st.lists(
+    st.one_of(
+        st.sampled_from([0, 1, 2, 3, 4, 6, 12]),
+        st.integers(0, 100),
+        st.integers(2, 10**30),
+    ),
+    max_size=12,
+)
+
+
+def snf_reference(orders):
+    """Canonical form of the sum of the Z/d through a Smith normal form."""
+    return present(IntMatrix.diagonal(list(orders))).group
+
+
+def is_canonical(g):
+    return FgAbGroup(g.free_rank, g.torsion) == g
+
+
+class TestGcdLcmChains:
+    """from_orders and direct_sum build invariant factors with gcd/lcm;
+    the Smith normal form of the diagonal relation matrix is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cyclic_orders)
+    def test_from_orders_matches_snf(self, orders):
+        g = FgAbGroup.from_orders(orders)
+        assert is_canonical(g)
+        assert g == snf_reference(orders)
+
+    def test_from_orders_known(self):
+        assert FgAbGroup.from_orders([]) == FgAbGroup.trivial()
+        assert FgAbGroup.from_orders([1, 1, 0]) == FgAbGroup.free(1)
+        assert FgAbGroup.from_orders([2, 2, 2]) == FgAbGroup(0, (2, 2, 2))
+        assert FgAbGroup.from_orders([12, 18, 8]) == FgAbGroup(0, (2, 12, 72))
+        assert FgAbGroup.from_orders(range(1, 11)) == snf_reference(range(1, 11))
+        with pytest.raises(ValueError):
+            FgAbGroup.from_orders([4, -2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(cyclic_orders, cyclic_orders)
+    def test_direct_sum_matches_snf(self, a, b):
+        g, h = FgAbGroup.from_orders(a), FgAbGroup.from_orders(b)
+        s = direct_sum(g, h)
+        assert is_canonical(s)
+        assert s == snf_reference(g.generator_orders() + h.generator_orders())
+        assert s == FgAbGroup.from_orders(a + b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(groups, st.integers(0, 5))
+    def test_power_matches_validated_form(self, g, k):
+        p = power(g, k)
+        # validated construction raises unless each factor's repeats sit together
+        expected = FgAbGroup(g.free_rank * k, tuple(d for d in g.torsion for _ in range(k)))
+        assert p == expected
+        assert p == snf_reference(g.generator_orders() * k)
+
+    def test_power_keeps_repeats_together(self):
+        assert power(FgAbGroup(1, (2, 4)), 2) == FgAbGroup(2, (2, 2, 4, 4))
 
 
 class TestElements:

@@ -42,6 +42,75 @@ def oracle_order(n, level):
     return g
 
 
+ORACLE_LEVELS, ORACLE_WIDTH = 300, 64
+
+
+def oracle_order_table(max_level, n_max):
+    """{level: (oracle_order(n, level) for n = 2..n_max)} for every level
+    up to max_level, from one additive walk down Pascal's triangle: row r
+    supplies C(level+i, i) to the level r - i, in increasing i."""
+    gcds = dict.fromkeys(range(1, max_level + 1), 0)
+    table = {level: [] for level in gcds}
+    row = [1]
+    for r in range(1, max_level + n_max):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        for i in range(max(1, r - max_level), min(r, n_max)):
+            level = r - i
+            gcds[level] = math.gcd(gcds[level], row[i] - 1)
+            table[level].append(gcds[level])
+    return {level: tuple(orders) for level, orders in table.items()}
+
+
+ORACLE_TABLE = oracle_order_table(ORACLE_LEVELS, ORACLE_WIDTH)
+
+
+def oracle_first_one(orders, bound):
+    return next((n for n, o in zip(range(2, bound + 1), orders) if o == 1), None)
+
+
+class TestRunningBinomial:
+    """cyclic_order, first_trivial_rank and divisibility_table share one
+    running binomial and gcd; the Pascal walk is the independent oracle."""
+
+    def test_oracle_table_agrees_with_oracle_order(self):
+        for level in (1, 2, 7, 30, 299):
+            for n in (2, 3, 9):
+                assert ORACLE_TABLE[level][n - 2] == oracle_order(n, level)
+
+    def test_divisibility_table_sweep(self):
+        for level, orders in ORACLE_TABLE.items():
+            t = divisibility_table(level, ORACLE_WIDTH)
+            assert t.orders == orders
+            assert t.chain_ok
+            assert t.first_one == oracle_first_one(orders, ORACLE_WIDTH)
+
+    def test_first_trivial_rank_sweep(self):
+        for level, orders in ORACLE_TABLE.items():
+            assert first_trivial_rank(level, ORACLE_WIDTH) == oracle_first_one(orders, ORACLE_WIDTH)
+
+    @given(st.integers(1, ORACLE_LEVELS), st.integers(2, ORACLE_WIDTH))
+    @settings(max_examples=200, deadline=None)
+    def test_windows_match_oracle(self, level, n):
+        orders = ORACLE_TABLE[level]
+        assert cyclic_order(n, level) == orders[n - 2]
+        assert divisibility_table(level, n).orders == orders[: n - 1]
+        assert first_trivial_rank(level, n) == oracle_first_one(orders, n)
+
+    def test_small_bounds_and_bad_levels(self):
+        assert first_trivial_rank(5, 1) is None
+        assert first_trivial_rank(0, 1) is None
+        with pytest.raises(ValueError):
+            first_trivial_rank(0, 5)
+        with pytest.raises(ValueError):
+            divisibility_table(0, 5)
+
+    def test_chain_violation_is_reported(self, monkeypatch):
+        import ktower.ktwist as ktwist
+
+        monkeypatch.setattr(ktwist, "_running_orders", lambda level: iter((6, 3, 4, 1)))
+        assert not divisibility_table(1, 5).chain_ok
+
+
 class TestCyclicOrder:
     def test_two_by_level(self):
         for level in range(1, 30):

@@ -287,10 +287,34 @@ class TestTruncatedProducts:
         assert unbounded_torsion_witness(CyclicFamily(1, lambda n: 2), 30) is None
         assert unbounded_torsion_witness(CyclicFamily(1, lambda n: 1), 30) is None
 
+    @staticmethod
+    def witness_by_definition(family, bound):
+        """Records of all_ones_order over the truncations, each computed
+        from scratch."""
+        records = []
+        for upto in range(family.first, bound + 1):
+            o = all_ones_order(family, upto)
+            if not records or o > records[-1]:
+                records.append(o)
+        return TorsionWitness(tuple(records)) if len(records) >= 2 else None
+
+    @given(st.integers(1, 4), st.lists(st.integers(1, 40), max_size=25), st.integers(-2, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_running_lcm_witness_matches_definition(self, first, orders, extra):
+        fam = CyclicFamily(first, lambda n: orders[(n - first) % len(orders)] if orders else 1)
+        bound = first + len(orders) + extra
+        assert unbounded_torsion_witness(fam, bound) == self.witness_by_definition(fam, bound)
+
+    def test_witness_of_identity_family_matches_definition(self):
+        fam = CyclicFamily(1, lambda n: n)
+        assert unbounded_torsion_witness(fam, 100) == self.witness_by_definition(fam, 100)
+
     def test_rejects_bad_orders(self):
         fam = CyclicFamily(1, lambda n: 0)
         with pytest.raises(ValueError):
             truncated_product(fam, 3)
+        with pytest.raises(ValueError):
+            unbounded_torsion_witness(fam, 3)
 
     @given(st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
