@@ -10,6 +10,7 @@ chain order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,7 +92,7 @@ class FgAbGroup:
         chain: list[int] = []
         for x in acc:
             _insert_order(chain, x)
-        return FgAbGroup._trusted(acc.count(0), tuple(chain))
+        return FgAbGroup(acc.count(0), tuple(chain))
 
     @property
     def generator_count(self) -> int:
@@ -159,10 +160,10 @@ def direct_sum(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     chain = list(g.torsion)
     for d in h.torsion:
         _insert_order(chain, d)
-    return FgAbGroup._trusted(g.free_rank + h.free_rank, tuple(chain))
+    return FgAbGroup(g.free_rank + h.free_rank, tuple(chain))
 
 
-# Most generators a power may produce; SU(19) has 2^18 cyclic factors.
+# Most torsion factors a power may produce; SU(19) has 2^18 cyclic factors.
 MAX_POWER_GENERATORS = 2**20
 
 
@@ -171,19 +172,18 @@ def power(g: FgAbGroup, k: int) -> FgAbGroup:
 
     Repeating each invariant factor k times keeps the divisibility chain,
     so the result is already canonical.  A result with more than
-    MAX_POWER_GENERATORS generators is refused before anything is built;
-    a power of the trivial group has none, whatever k is.
+    MAX_POWER_GENERATORS torsion factors is refused before anything is
+    built; the free rank is a single integer and is not limited, and a
+    power of a free or trivial group has no torsion, whatever k is.
     """
     if k < 0:
         raise ValueError("power requires k >= 0")
-    if g.generator_count * k > MAX_POWER_GENERATORS:
+    if len(g.torsion) * k > MAX_POWER_GENERATORS:
         # the count itself is not printed: it can have too many digits for str()
-        raise ValueError(f"a power with more than {MAX_POWER_GENERATORS} generators is refused")
-    if len(g.torsion) == 1:
-        # one C-level repetition: at 2^18 factors about 50x faster than a generator
-        torsion = g.torsion * k
-    else:
-        torsion = tuple(d for d in g.torsion for _ in range(k))
+        raise ValueError(
+            f"a power with more than {MAX_POWER_GENERATORS} torsion factors is refused"
+        )
+    torsion = tuple(itertools.chain.from_iterable((d,) * k for d in g.torsion))
     return FgAbGroup._trusted(g.free_rank * k, torsion)
 
 

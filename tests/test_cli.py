@@ -474,7 +474,7 @@ class TestGeneratorLimit:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == "error: a power with more than 1048576 generators is refused\n"
+        assert err == "error: a power with more than 1048576 torsion factors is refused\n"
 
     def test_order_one_totals_still_succeed(self, capsys):
         code, out, _ = run(capsys, "ktwist", "--space", "su", "--n", "40", "--level", "1",
