@@ -28,14 +28,14 @@ from .fgab import (
     cokernel,
     from_presentation,
     group_from_json,
+    group_text,
     group_to_json,
     hom_from_json,
     image,
     kernel,
-    rationalized_rank,
     sequence_from_json,
 )
-from .intlin import _parse_int, matrix_from_json, matrix_to_json, snf_with_inverses
+from .intlin import _parse_int, matrix_from_json, matrix_to_json, snf
 from .ktwist import (
     Sphere3,
     SphereDisjointUnion,
@@ -43,20 +43,9 @@ from .ktwist import (
     SUInfinite,
     divisibility_table,
     twisted_k,
-    twisted_khomology,
 )
 from .towers import (
-    CountableProductDescriptor,
-    CountableSumDescriptor,
     CyclicFamily,
-    ExactLimit,
-    Lim1NonzeroUncomputed,
-    Lim1Unproven,
-    Lim1Zero,
-    ProfiniteNontrivial,
-    TrivialLimit,
-    UnprovenLimit,
-    Unrepresentable,
     all_ones_order,
     builtin_graded_pair,
     direct_limit,
@@ -65,8 +54,9 @@ from .towers import (
     milnor_assemble,
     tower_from_json,
     truncated_product,
-    truncated_sum,
     unbounded_torsion_witness,
+    verdict_json,
+    verdict_text,
 )
 
 
@@ -77,90 +67,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def group_text(g: FgAbGroup) -> str:
-    """Compact human form, e.g. Z^2 + (Z/3)^4."""
-    if g.is_trivial():
-        return "0"
-    parts = []
-    if g.free_rank == 1:
-        parts.append("Z")
-    elif g.free_rank > 1:
-        parts.append(f"Z^{g.free_rank}")
-    run_value, run_len = None, 0
-    for d in g.torsion + (None,):
-        if d == run_value:
-            run_len += 1
-            continue
-        if run_value is not None:
-            parts.append(f"Z/{run_value}" if run_len == 1 else f"(Z/{run_value})^{run_len}")
-        run_value, run_len = d, 1
-    return " + ".join(parts)
-
-
-def verdict_to_json(v) -> dict:
-    if isinstance(v, FgAbGroup):
-        return {"kind": "group", "group": group_to_json(v)}
-    if isinstance(v, ExactLimit):
-        return {"kind": "exact-limit", "group": group_to_json(v.group), "note": v.note}
-    if isinstance(v, TrivialLimit):
-        return {"kind": "trivial", "note": v.note}
-    if isinstance(v, ProfiniteNontrivial):
-        return {
-            "kind": "profinite-nontrivial",
-            "evidence": [str(e) for e in v.evidence],
-            "note": v.note,
-        }
-    if isinstance(v, UnprovenLimit):
-        return {"kind": "unproven", "bound": v.bound, "note": v.note}
-    if isinstance(v, Unrepresentable):
-        return {
-            "kind": "unrepresentable",
-            "reason": v.reason,
-            "lim": verdict_to_json(v.lim),
-            "lim1": verdict_to_json(v.lim1),
-        }
-    if isinstance(v, Lim1Zero):
-        return {"kind": "zero", "rule": v.rule}
-    if isinstance(v, Lim1NonzeroUncomputed):
-        return {"kind": "nonzero-uncomputed", "witness_level": v.witness_level, "note": v.note}
-    if isinstance(v, Lim1Unproven):
-        return {"kind": "unproven", "bound": v.bound}
-    if isinstance(v, CountableProductDescriptor):
-        return {"kind": "countable-product", "first": v.family.first}
-    if isinstance(v, CountableSumDescriptor):
-        return {"kind": "countable-sum", "first": v.family.first}
-    raise ValueError(f"no JSON form for {v!r}")
-
-
-def verdict_text(v) -> str:
-    if isinstance(v, FgAbGroup):
-        return group_text(v)
-    if isinstance(v, ExactLimit):
-        return f"{group_text(v.group)} ({v.note})"
-    if isinstance(v, TrivialLimit):
-        return f"trivial ({v.note})" if v.note else "trivial"
-    if isinstance(v, ProfiniteNontrivial):
-        shown = ", ".join(str(e) for e in v.evidence[:6])
-        return f"profinite, nontrivial (stable image orders {shown}, ...)"
-    if isinstance(v, UnprovenLimit):
-        return f"unproven at bound {v.bound}" + (f" ({v.note})" if v.note else "")
-    if isinstance(v, Unrepresentable):
-        return f"unrepresentable: {v.reason}"
-    if isinstance(v, Lim1Zero):
-        return f"zero ({v.rule})"
-    if isinstance(v, Lim1NonzeroUncomputed):
-        return f"nonzero, not computed (witness level {v.witness_level})"
-    if isinstance(v, Lim1Unproven):
-        return f"unproven at bound {v.bound}"
-    if isinstance(v, CountableProductDescriptor):
-        return f"countable product of cyclic groups from index {v.family.first}"
-    if isinstance(v, CountableSumDescriptor):
-        return f"countable direct sum of cyclic groups from index {v.family.first}"
-    raise ValueError(f"no text form for {v!r}")
-
-
-def _is_unproven(v) -> bool:
-    return isinstance(v, (UnprovenLimit, Lim1Unproven))
+def _exit_code(*verdicts: dict) -> int:
+    """3 (an honest Unproven) if any JSON-rendered verdict is unproven."""
+    return 3 if any(v["kind"] == "unproven" for v in verdicts) else 0
 
 
 def _table(header: list[str], rows: list[list[str]]) -> str:
@@ -195,7 +104,7 @@ def _read_payload(args) -> dict:
 
 def _handle_snf(args):
     payload = _read_payload(args)
-    dec = snf_with_inverses(matrix_from_json(payload))
+    dec = snf(matrix_from_json(payload))
     out = None
     if args.format == "json":
         # Only the JSON form prints the transforms, whose entries can pass
@@ -234,7 +143,7 @@ def _handle_group(args):
     out = {
         "group": group_to_json(g),
         "order": str(order),
-        "rationalized_rank": rationalized_rank(g),
+        "rationalized_rank": g.free_rank,
         "generator_count": g.generator_count,
     }
     table = _table(
@@ -242,7 +151,7 @@ def _handle_group(args):
         [
             ["canonical form", group_text(g)],
             ["order", "infinite" if order == 0 else str(order)],
-            ["rationalized rank", str(rationalized_rank(g))],
+            ["rationalized rank", str(g.free_rank)],
         ],
     )
     return 0, out, table
@@ -309,16 +218,9 @@ def _handle_tower(args):
             deg0 = tower_from_json(payload["degree0"], bound=args.bound)
             deg1 = tower_from_json(payload["degree1"], bound=args.bound)
         graded = milnor_assemble(deg0, deg1)
-        out = {
-            "degree0": verdict_to_json(graded.k0),
-            "degree1": verdict_to_json(graded.k1),
-        }
-        table = _table(
-            ["degree", "verdict"],
-            [["0", verdict_text(graded.k0)], ["1", verdict_text(graded.k1)]],
-        )
-        code = 3 if (_is_unproven(graded.k0) or _is_unproven(graded.k1)) else 0
-        return code, out, table
+        out = graded.to_json()
+        table = _table(["degree", "verdict"], graded.text_rows())
+        return _exit_code(out["degree0"], out["degree1"]), out, table
     if verb == "lim":
         verdict = inverse_limit(_tower_payload(args, direct=False))
     elif verb == "lim1":
@@ -327,9 +229,9 @@ def _handle_tower(args):
         verdict = direct_limit(_tower_payload(args, direct=True))
     else:
         raise ValueError(f"unknown tower verb {verb!r}")
-    out = {"verdict": verdict_to_json(verdict)}
-    table = f"verdict: {verdict_text(verdict)}\n"
-    return (3 if _is_unproven(verdict) else 0), out, table
+    out = {"verdict": verdict.to_json()}
+    table = f"verdict: {verdict.text()}\n"
+    return _exit_code(out["verdict"]), out, table
 
 
 def _space_from_args(args):
@@ -348,18 +250,6 @@ def _space_from_args(args):
     if args.space == "s3-union":
         return SphereDisjointUnion()
     raise ValueError(f"unknown space {args.space!r}")
-
-
-def _space_to_json(space) -> dict:
-    if isinstance(space, SUFinite):
-        return {"family": "su", "n": space.n, "level": str(space.level)}
-    if isinstance(space, SUInfinite):
-        return {"family": "su-infinite", "level": str(space.level)}
-    if isinstance(space, Sphere3):
-        return {"family": "s3", "twist": str(space.twist)}
-    if isinstance(space, SphereDisjointUnion):
-        return {"family": "s3-union", "first": space.first}
-    raise ValueError(f"no JSON form for {space!r}")
 
 
 def _grid_payload(n_max: int, level_max: int):
@@ -396,26 +286,19 @@ def _handle_ktwist(args):
     if not args.space:
         raise ValueError("ktwist needs --space or --table")
     space = _space_from_args(args)
-    compute = twisted_khomology if args.homology else twisted_k
-    result = compute(space, bound=args.bound)
+    result = twisted_k(space, bound=args.bound, homology=args.homology)
     out = {
-        "space": _space_to_json(space),
+        "space": space.to_json(),
         "theory": "k-homology" if args.homology else "k-theory",
-        "k_total": verdict_to_json(result.total),
-        "graded": None
-        if result.graded is None
-        else {
-            "degree0": verdict_to_json(result.graded.k0),
-            "degree1": verdict_to_json(result.graded.k1),
-        },
+        "k_total": verdict_json(result.total),
+        "graded": None if result.graded is None else result.graded.to_json(),
         "provenance": list(result.provenance),
     }
     rows = [["total", verdict_text(result.total)]]
     if result.graded is not None:
-        rows.append(["degree 0", verdict_text(result.graded.k0)])
-        rows.append(["degree 1", verdict_text(result.graded.k1)])
+        rows += result.graded.text_rows("degree ")
     table = _table(["quantity", "value"], rows)
-    return (3 if _is_unproven(result.total) else 0), out, table
+    return _exit_code(out["k_total"]), out, table
 
 
 def _handle_hp(args):
@@ -437,7 +320,7 @@ def _handle_hp(args):
         space = _space_from_args(args)
         result = twisted_hp(space, bound=args.bound)
         out = {
-            "space": _space_to_json(space),
+            "space": space.to_json(),
             "dims": {"even": result.dims.even, "odd": result.dims.odd},
             "provenance": list(result.provenance),
         }
@@ -475,12 +358,12 @@ def _handle_hp(args):
                 {"n": n, "even": d.even, "odd": d.odd} for n, d in report.levels
             ],
             "surjective_steps": list(report.surjective_steps),
-            "lim1": verdict_to_json(report.lim1),
+            "lim1": report.lim1.to_json(),
             "limit_note": report.limit_note,
         }
         rows = [[str(n), str(d.even), str(d.odd)] for n, d in report.levels]
         table = _table(["n", "even", "odd"], rows) + (
-            f"lim1: {verdict_text(report.lim1)}\n{report.limit_note}\n"
+            f"lim1: {report.lim1.text()}\n{report.limit_note}\n"
         )
         return 0, out, table
     raise ValueError("hp needs --check, --twisted, or --space su/su-inf")
@@ -491,20 +374,20 @@ def _handle_product(args):
     upto = args.truncate
     if upto < 1:
         raise ValueError("--truncate must be at least 1")
-    prod = truncated_product(family, upto)
-    parts = truncated_sum(family, upto)
+    # finite direct sums and products coincide: one truncation serves both
+    truncation = truncated_product(family, upto)
     order = all_ones_order(family, upto)
     witness = unbounded_torsion_witness(family, args.witness_bound)
     out = {
         "truncate": upto,
-        "product": group_to_json(prod),
-        "sum": group_to_json(parts),
+        "product": group_to_json(truncation),
+        "sum": group_to_json(truncation),
         "all_ones_order": str(order),
         "witness": None if witness is None else {"orders": [str(o) for o in witness.orders]},
     }
     rows = [
-        ["product", group_text(prod)],
-        ["sum", group_text(parts)],
+        ["product", group_text(truncation)],
+        ["sum", group_text(truncation)],
         ["all-ones order", str(order)],
         [
             "witness orders",

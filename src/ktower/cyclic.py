@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Union
 
-from .fgab import FgAbGroup, rationalized_rank
-from .ktwist import KResult, SUFinite, SUInfinite, twisted_k
+from .fgab import FgAbGroup
+from .ktwist import KResult, SUFinite, SUInfinite, _check_su_rank, twisted_k
 from .towers import DEFAULT_BOUND, ExactLimit, Lim1Zero, TrivialLimit
 
 
@@ -63,8 +63,7 @@ def graded_dims(a: ExteriorAlgebra) -> GradedDims:
 def su_de_rham(n: int) -> ExteriorAlgebra:
     """De Rham model of SU(n): one generator in each odd degree
     3, 5, ..., 2n-1."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_su_rank(n)
     return ExteriorAlgebra(tuple(range(3, 2 * n, 2)))
 
 
@@ -148,11 +147,11 @@ class ChernCheck:
 
 def _rank_of_total(total) -> int:
     if isinstance(total, FgAbGroup):
-        return rationalized_rank(total)
+        return total.free_rank
     if isinstance(total, TrivialLimit):
         return 0
     if isinstance(total, ExactLimit):
-        return rationalized_rank(total.group)
+        return total.group.free_rank
     raise ValueError(
         "cannot rationalize an unresolved limit descriptor; rerun with a bound "
         "that settles the K-group first"
@@ -203,8 +202,7 @@ _TORSION_CHAIN = (
 
 
 def _vanishing_from_torsion(total: FgAbGroup) -> GradedDims:
-    rank = rationalized_rank(total)
-    if rank != 0:
+    if total.free_rank != 0:
         raise ValueError("vanishing rule chain needs a pure-torsion K-group")
     return GradedDims(0, 0)
 

@@ -10,6 +10,7 @@ chain order.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .intlin import (
     lattice_equal,
     matrix_from_json,
     matrix_to_json,
-    snf_with_inverses,
+    snf,
     solve_integral,
 )
 
@@ -133,22 +134,26 @@ def _insert_order(chain: list[int], a: int) -> None:
     the gcd is carried to the next smaller factor, and whatever is still
     carried at the bottom becomes a new smallest factor.  Orders 0 and 1
     leave the torsion unchanged.
+
+    A factor that the carried order divides stays as it is, and in a
+    divisibility chain those factors form a suffix of the part not yet
+    swept, so a binary search skips the whole run at once.
     """
     if a < 2:
         return
-    for j in range(len(chain) - 1, -1, -1):
-        c = chain[j]
+    j = len(chain)
+    while j:
+        c = chain[j - 1]
         g = math.gcd(a, c)
+        if g == a:
+            j = bisect.bisect_left(chain, True, 0, j, key=lambda x: x % a == 0)
+            continue
+        j -= 1
         chain[j] = c // g * a
         a = g
         if a == 1:
             return
     chain.insert(0, a)
-
-
-def rationalized_rank(g: FgAbGroup) -> int:
-    """dim_Q (G tensor Q); torsion dies under rationalization."""
-    return g.free_rank
 
 
 def direct_sum(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
@@ -253,7 +258,7 @@ class QuotientPresentation:
 def present(relations: IntMatrix) -> QuotientPresentation:
     """Present Z^rows / im(relations) in canonical form with transport."""
     p = relations.rows
-    dec = snf_with_inverses(relations)
+    dec = snf(relations)
     rank = sum(1 for d in dec.factors if d)
     torsion_idx = [i for i in range(rank) if dec.factors[i] >= 2]
     free_idx = list(range(rank, p))
@@ -493,7 +498,7 @@ def check_exact(maps: Sequence[Homomorphism]) -> ExactnessReport:
     )
 
 
-# --- JSON transport -------------------------------------------------------
+# --- JSON and text forms -------------------------------------------------
 #
 # Torsion orders are decimal strings for the same reason matrix entries
 # are; free_rank is a structural count and stays a plain number.
@@ -501,6 +506,26 @@ def check_exact(maps: Sequence[Homomorphism]) -> ExactnessReport:
 
 def group_to_json(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": [str(d) for d in g.torsion]}
+
+
+def group_text(g: FgAbGroup) -> str:
+    """Compact human form, e.g. Z^2 + (Z/3)^4."""
+    if g.is_trivial():
+        return "0"
+    parts = []
+    if g.free_rank == 1:
+        parts.append("Z")
+    elif g.free_rank > 1:
+        parts.append(f"Z^{g.free_rank}")
+    run_value, run_len = None, 0
+    for d in g.torsion + (None,):
+        if d == run_value:
+            run_len += 1
+            continue
+        if run_value is not None:
+            parts.append(f"Z/{run_value}" if run_len == 1 else f"(Z/{run_value})^{run_len}")
+        run_value, run_len = d, 1
+    return " + ".join(parts)
 
 
 def group_from_json(obj) -> FgAbGroup:

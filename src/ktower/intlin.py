@@ -111,24 +111,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u @ a @ v = s with u, v unimodular and s diagonal.
+    """u @ a @ v = s with u, v unimodular and s diagonal, plus the inverses
+    of both transforms (quotient-group bookkeeping needs u_inv to
+    transport elements).
 
     The diagonal of ``s`` is nonnegative, nonzero entries come first, and
     each nonzero entry divides the next.  ``factors`` lists that diagonal.
-    """
-
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    factors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SmithWithInverses:
-    """Smith decomposition plus the inverses of both transforms.
-
-    Kept separate from SmithDecomposition so the common result stays
-    small; quotient-group bookkeeping needs u_inv to transport elements.
     """
 
     u: IntMatrix
@@ -154,7 +142,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _snf_core(a: IntMatrix) -> SmithWithInverses:
+def _snf_core(a: IntMatrix) -> SmithDecomposition:
     m, n = a.rows, a.cols
     s = [list(row) for row in a.entries]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -290,7 +278,7 @@ def _snf_core(a: IntMatrix) -> SmithWithInverses:
         t += 1
 
     factors = tuple(s[i][i] for i in range(limit))
-    return SmithWithInverses(
+    return SmithDecomposition(
         u=IntMatrix.from_rows(u, cols=m),
         s=IntMatrix.from_rows(s, cols=n),
         v=IntMatrix.from_rows(v, cols=n),
@@ -308,12 +296,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     >>> snf(IntMatrix.from_rows([[1, 0], [0, 1]])).factors
     (1, 1)
     """
-    full = _snf_core(a)
-    return SmithDecomposition(u=full.u, s=full.s, v=full.v, factors=full.factors)
-
-
-def snf_with_inverses(a: IntMatrix) -> SmithWithInverses:
-    """Like snf but also returns u_inv and v_inv."""
     return _snf_core(a)
 
 
@@ -442,7 +424,8 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
 #
 # Entries travel as decimal strings so arbitrary precision survives
 # consumers whose JSON numbers are doubles.  Parsing accepts plain
-# integers too.
+# integers too.  rows and cols are structural counts: plain JSON integers
+# only.
 
 
 def _parse_int(value, what: str) -> int:
@@ -472,11 +455,12 @@ def matrix_from_json(obj) -> IntMatrix:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except KeyError as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    for name, count in (("rows", rows), ("cols", cols)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"matrix {name} must be a JSON integer")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ValueError("matrix JSON entries must list one row per declared row")
     data = []

@@ -32,6 +32,18 @@ from .towers import (
 
 # --- spaces -------------------------------------------------------------------
 
+# Largest n accepted for SU(n), checked before any arithmetic.  SU(n) has
+# 2^(n-1) cyclic factors, and 2^4095 still prints in 1,233 digits, well
+# inside Python's 4,300-digit limit on int-to-str conversion.
+MAX_SU_RANK = 4096
+
+
+def _check_su_rank(n: int) -> None:
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if n > MAX_SU_RANK:
+        raise ValueError(f"n must be at most {MAX_SU_RANK}")
+
 
 @dataclass(frozen=True)
 class SUFinite:
@@ -41,10 +53,12 @@ class SUFinite:
     level: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        _check_su_rank(self.n)
         if self.level < 1:
             raise ValueError("level must be at least 1 (untwisted is out of scope)")
+
+    def to_json(self) -> dict:
+        return {"family": "su", "n": self.n, "level": str(self.level)}
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,9 @@ class SUInfinite:
         if self.level < 1:
             raise ValueError("level must be at least 1 (untwisted is out of scope)")
 
+    def to_json(self) -> dict:
+        return {"family": "su-infinite", "level": str(self.level)}
+
 
 @dataclass(frozen=True)
 class Sphere3:
@@ -67,6 +84,9 @@ class Sphere3:
     def __post_init__(self):
         if self.twist < 1:
             raise ValueError("twist must be at least 1 (untwisted is out of scope)")
+
+    def to_json(self) -> dict:
+        return {"family": "s3", "twist": str(self.twist)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +102,9 @@ class SphereDisjointUnion:
 
     def family(self) -> CyclicFamily:
         return CyclicFamily(self.first, self.twist_of)
+
+    def to_json(self) -> dict:
+        return {"family": "s3-union", "first": self.first}
 
 
 TwistedSpace = Union[SUFinite, SUInfinite, Sphere3, SphereDisjointUnion]
@@ -235,15 +258,22 @@ def _su_infinite_graded(
     return total, graded, notes
 
 
-def twisted_k(space: TwistedSpace, bound: int = DEFAULT_BOUND) -> KResult:
-    """Twisted K-theory of a supported space.
+def twisted_k(
+    space: TwistedSpace, bound: int = DEFAULT_BOUND, *, homology: bool = False
+) -> KResult:
+    """Twisted K-theory of a supported space, or with ``homology`` its
+    twisted K-homology.
 
-    Bound exhaustion (only possible for the infinite union) surfaces as
-    an Unproven total, never as an error or a guess.
+    The two differ only in bookkeeping: K-homology totals agree with
+    K-theory on the compact families, the countable union dualizes
+    product to sum, and the infinite union is a direct limit instead of an
+    inverse one.  Bound exhaustion (only possible for the infinite union)
+    surfaces as an Unproven total, never as an error or a guess.
     """
+    agrees = ("K-homology total agrees with the K-theory total",) if homology else ()
     if isinstance(space, SUFinite):
         total, notes = _su_finite_total(space)
-        return KResult(space=space, total=total, graded=None, provenance=notes)
+        return KResult(space=space, total=total, graded=None, provenance=notes + agrees)
     if isinstance(space, Sphere3):
         g = FgAbGroup.cyclic(space.twist)
         return KResult(
@@ -252,61 +282,29 @@ def twisted_k(space: TwistedSpace, bound: int = DEFAULT_BOUND) -> KResult:
             graded=KGradedGroup(FgAbGroup.trivial(), g),
             provenance=(
                 "one cyclic factor of order equal to the twist, in odd degree only",
-            ),
+            ) + agrees,
         )
     if isinstance(space, SphereDisjointUnion):
-        product = CountableProductDescriptor(space.family())
-        return KResult(
-            space=space,
-            total=product,
-            graded=KGradedGroup(FgAbGroup.trivial(), product),
-            provenance=(
+        if homology:
+            total = CountableSumDescriptor(space.family())
+            note = (
+                "K-homology of a countable union is the countable direct sum "
+                "(dual to the K-theory product; finite truncations coincide)"
+            )
+        else:
+            total = CountableProductDescriptor(space.family())
+            note = (
                 "componentwise odd-degree cyclic groups; K-theory of a countable "
-                "union is the countable product (kept symbolic, truncate to inspect)",
-            ),
-        )
-    if isinstance(space, SUInfinite):
-        total, graded, notes = _su_infinite_graded(space.level, bound, direct=False)
-        return KResult(space=space, total=total, graded=graded, provenance=notes)
-    raise ValueError(f"unsupported space {space!r}")
-
-
-def twisted_khomology(space: TwistedSpace, bound: int = DEFAULT_BOUND) -> KResult:
-    """Twisted K-homology: totals agree with twisted_k on the compact
-    families, the countable union dualizes product to sum, and the
-    infinite union is a direct limit instead of an inverse one."""
-    if isinstance(space, SUFinite):
-        total, notes = _su_finite_total(space)
+                "union is the countable product (kept symbolic, truncate to inspect)"
+            )
         return KResult(
             space=space,
             total=total,
-            graded=None,
-            provenance=notes + ("K-homology total agrees with the K-theory total",),
-        )
-    if isinstance(space, Sphere3):
-        g = FgAbGroup.cyclic(space.twist)
-        return KResult(
-            space=space,
-            total=g,
-            graded=KGradedGroup(FgAbGroup.trivial(), g),
-            provenance=(
-                "one cyclic factor of order equal to the twist, in odd degree only",
-                "K-homology total agrees with the K-theory total",
-            ),
-        )
-    if isinstance(space, SphereDisjointUnion):
-        parts = CountableSumDescriptor(space.family())
-        return KResult(
-            space=space,
-            total=parts,
-            graded=KGradedGroup(FgAbGroup.trivial(), parts),
-            provenance=(
-                "K-homology of a countable union is the countable direct sum "
-                "(dual to the K-theory product; finite truncations coincide)",
-            ),
+            graded=KGradedGroup(FgAbGroup.trivial(), total),
+            provenance=(note,),
         )
     if isinstance(space, SUInfinite):
-        total, graded, notes = _su_infinite_graded(space.level, bound, direct=True)
+        total, graded, notes = _su_infinite_graded(space.level, bound, direct=homology)
         return KResult(space=space, total=total, graded=graded, provenance=notes)
     raise ValueError(f"unsupported space {space!r}")
 

@@ -20,6 +20,8 @@ from .fgab import (
     Homomorphism,
     cokernel,
     element_order,
+    group_text,
+    group_to_json,
     image,
     image_lattice,
 )
@@ -53,6 +55,9 @@ TailClass = Union[EventuallyConstant, LevelwiseFinite, General]
 
 
 # --- limit descriptors ------------------------------------------------------
+#
+# Each descriptor renders itself: to_json() is its canonical JSON object,
+# tagged by "kind", and text() its one-line human form.
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,22 @@ class ExactLimit:
     group: FgAbGroup
     note: str = ""
 
+    def to_json(self) -> dict:
+        return {"kind": "exact-limit", "group": group_to_json(self.group), "note": self.note}
+
+    def text(self) -> str:
+        return f"{group_text(self.group)} ({self.note})"
+
 
 @dataclass(frozen=True)
 class TrivialLimit:
     note: str = ""
+
+    def to_json(self) -> dict:
+        return {"kind": "trivial", "note": self.note}
+
+    def text(self) -> str:
+        return f"trivial ({self.note})" if self.note else "trivial"
 
 
 @dataclass(frozen=True)
@@ -76,16 +93,39 @@ class ProfiniteNontrivial:
     evidence: tuple[int, ...]
     note: str = ""
 
+    def to_json(self) -> dict:
+        return {
+            "kind": "profinite-nontrivial",
+            "evidence": [str(e) for e in self.evidence],
+            "note": self.note,
+        }
+
+    def text(self) -> str:
+        shown = ", ".join(str(e) for e in self.evidence[:6])
+        return f"profinite, nontrivial (stable image orders {shown}, ...)"
+
 
 @dataclass(frozen=True)
 class UnprovenLimit:
     bound: int
     note: str = ""
 
+    def to_json(self) -> dict:
+        return {"kind": "unproven", "bound": self.bound, "note": self.note}
+
+    def text(self) -> str:
+        return f"unproven at bound {self.bound}" + (f" ({self.note})" if self.note else "")
+
 
 @dataclass(frozen=True)
 class Lim1Zero:
     rule: str
+
+    def to_json(self) -> dict:
+        return {"kind": "zero", "rule": self.rule}
+
+    def text(self) -> str:
+        return f"zero ({self.rule})"
 
 
 @dataclass(frozen=True)
@@ -93,10 +133,22 @@ class Lim1NonzeroUncomputed:
     witness_level: int
     note: str = ""
 
+    def to_json(self) -> dict:
+        return {"kind": "nonzero-uncomputed", "witness_level": self.witness_level, "note": self.note}
+
+    def text(self) -> str:
+        return f"nonzero, not computed (witness level {self.witness_level})"
+
 
 @dataclass(frozen=True)
 class Lim1Unproven:
     bound: int
+
+    def to_json(self) -> dict:
+        return {"kind": "unproven", "bound": self.bound}
+
+    def text(self) -> str:
+        return f"unproven at bound {self.bound}"
 
 
 Lim1Descriptor = Union[Lim1Zero, Lim1NonzeroUncomputed, Lim1Unproven]
@@ -110,10 +162,33 @@ class Unrepresentable:
     lim: "LimitDescriptor"
     lim1: Lim1Descriptor
 
+    def to_json(self) -> dict:
+        return {
+            "kind": "unrepresentable",
+            "reason": self.reason,
+            "lim": self.lim.to_json(),
+            "lim1": self.lim1.to_json(),
+        }
+
+    def text(self) -> str:
+        return f"unrepresentable: {self.reason}"
+
 
 LimitDescriptor = Union[
     ExactLimit, TrivialLimit, ProfiniteNontrivial, UnprovenLimit, Unrepresentable
 ]
+
+
+def verdict_json(v) -> dict:
+    """JSON form of a verdict: a bare group or any descriptor."""
+    if isinstance(v, FgAbGroup):
+        return {"kind": "group", "group": group_to_json(v)}
+    return v.to_json()
+
+
+def verdict_text(v) -> str:
+    """Text form of a verdict: a bare group or any descriptor."""
+    return group_text(v) if isinstance(v, FgAbGroup) else v.text()
 
 
 # --- Mittag-Leffler verdicts ------------------------------------------------
@@ -462,6 +537,13 @@ class KGradedGroup:
     def degree(self, i: int):
         return self.k0 if i % 2 == 0 else self.k1
 
+    def to_json(self) -> dict:
+        return {"degree0": verdict_json(self.k0), "degree1": verdict_json(self.k1)}
+
+    def text_rows(self, label: str = "") -> list[list[str]]:
+        """One table row per degree, the degree named by label + index."""
+        return [[f"{label}{i}", verdict_text(self.degree(i))] for i in (0, 1)]
+
 
 def milnor_assemble(deg0: InverseTower, deg1: InverseTower) -> KGradedGroup:
     """Assemble graded limits through the Milnor sequence.
@@ -521,12 +603,6 @@ def truncated_product(family: CyclicFamily, upto: int) -> FgAbGroup:
     return FgAbGroup.from_orders(orders)
 
 
-def truncated_sum(family: CyclicFamily, upto: int) -> FgAbGroup:
-    """Finite direct sums and products coincide; kept separate so callers
-    say which object they mean."""
-    return truncated_product(family, upto)
-
-
 def all_ones_order(family: CyclicFamily, upto: int) -> int:
     """Order of (1, 1, ..., 1) in the truncated product, via componentwise
     orders joined by lcm."""
@@ -577,6 +653,12 @@ class CountableProductDescriptor:
     def truncate(self, upto: int) -> FgAbGroup:
         return truncated_product(self.family, upto)
 
+    def to_json(self) -> dict:
+        return {"kind": "countable-product", "first": self.family.first}
+
+    def text(self) -> str:
+        return f"countable product of cyclic groups from index {self.family.first}"
+
 
 @dataclass(frozen=True, eq=False)
 class CountableSumDescriptor:
@@ -585,7 +667,13 @@ class CountableSumDescriptor:
     family: CyclicFamily
 
     def truncate(self, upto: int) -> FgAbGroup:
-        return truncated_sum(self.family, upto)
+        return truncated_product(self.family, upto)
+
+    def to_json(self) -> dict:
+        return {"kind": "countable-sum", "first": self.family.first}
+
+    def text(self) -> str:
+        return f"countable direct sum of cyclic groups from index {self.family.first}"
 
 
 # --- named towers and JSON decoding ------------------------------------------

@@ -46,7 +46,6 @@ from ktower.ktwist import (
     divisibility_table,
     first_trivial_rank,
     twisted_k,
-    twisted_khomology,
 )
 from ktower.towers import (
     CyclicFamily,
@@ -154,7 +153,7 @@ def test_acceptance_4_su_infinity_triviality(capsys):
             n0 = first_trivial_rank(level, 64)
             assert n0 is not None and n0 <= 64
             k = twisted_k(SUInfinite(level), bound=64)
-            kh = twisted_khomology(SUInfinite(level), bound=64)
+            kh = twisted_k(SUInfinite(level), bound=64, homology=True)
             assert isinstance(k.total, TrivialLimit)
             assert isinstance(kh.total, TrivialLimit)
             assert divisibility_table(level, 64).first_one == n0
@@ -197,7 +196,7 @@ def test_acceptance_6_product_sum_duality(capsys):
         assert all(b > a for a, b in zip(orders, orders[1:]))
         union = SphereDisjointUnion()
         k = twisted_k(union)
-        kh = twisted_khomology(union)
+        kh = twisted_k(union, homology=True)
         for upto in range(1, 21):
             assert k.total.truncate(upto) == kh.total.truncate(upto)
 

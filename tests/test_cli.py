@@ -4,20 +4,39 @@ import math
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 from ktower import cli
-from ktower.cli import canonical_json, group_text, main, verdict_to_json
+from ktower.cli import canonical_json, main
 from ktower.fgab import (
     FgAbGroup,
     Homomorphism,
+    group_text,
     group_to_json,
     hom_to_json,
 )
 from ktower.intlin import IntMatrix, determinant, matrix_to_json
-from ktower.towers import TrivialLimit, UnprovenLimit
+from ktower.ktwist import MAX_SU_RANK, KTotal
+from ktower.towers import (
+    CountableProductDescriptor,
+    CountableSumDescriptor,
+    CyclicFamily,
+    ExactLimit,
+    Lim1Descriptor,
+    Lim1NonzeroUncomputed,
+    Lim1Unproven,
+    Lim1Zero,
+    LimitDescriptor,
+    ProfiniteNontrivial,
+    TrivialLimit,
+    UnprovenLimit,
+    Unrepresentable,
+    verdict_json,
+    verdict_text,
+)
 
 
 def run(capsys, *argv):
@@ -447,10 +466,31 @@ class TestPlumbing:
         assert code == 1
 
     def test_verdict_json_covers_descriptors(self):
-        assert verdict_to_json(TrivialLimit(note="x"))["kind"] == "trivial"
-        assert verdict_to_json(UnprovenLimit(5, note=""))["bound"] == 5
-        with pytest.raises(ValueError):
-            verdict_to_json(object())
+        assert verdict_json(TrivialLimit(note="x"))["kind"] == "trivial"
+        assert verdict_json(UnprovenLimit(5, note=""))["bound"] == 5
+        family = CyclicFamily(1, lambda n: n)
+        samples = {
+            FgAbGroup: FgAbGroup(1, (2,)),
+            ExactLimit: ExactLimit(FgAbGroup.cyclic(6), note="n"),
+            TrivialLimit: TrivialLimit(),
+            ProfiniteNontrivial: ProfiniteNontrivial((2, 4, 8, 16, 32, 64, 128)),
+            UnprovenLimit: UnprovenLimit(7),
+            Unrepresentable: Unrepresentable("r", TrivialLimit(), Lim1Unproven(3)),
+            Lim1Zero: Lim1Zero("rule"),
+            Lim1NonzeroUncomputed: Lim1NonzeroUncomputed(4),
+            Lim1Unproven: Lim1Unproven(3),
+            CountableProductDescriptor: CountableProductDescriptor(family),
+            CountableSumDescriptor: CountableSumDescriptor(family),
+        }
+        members = set(typing.get_args(LimitDescriptor) + typing.get_args(Lim1Descriptor)
+                      + typing.get_args(KTotal))
+        assert members == set(samples)
+        for cls, v in samples.items():
+            rendered = verdict_json(v)
+            assert isinstance(rendered["kind"], str) and rendered["kind"]
+            assert json.loads(canonical_json(rendered)) == rendered
+            text = verdict_text(v)
+            assert text and "\n" not in text, cls
 
 
 class TestGeneratorLimit:
@@ -466,8 +506,6 @@ class TestGeneratorLimit:
             ["hp", "--twisted", "--space", "su", "--n", "40", "--level", "997"],
             ["hp", "--twisted", "--space", "su", "--n", "40", "--level", "997",
              "--format", "json"],
-            # 2^14999 generators: a count too long to print in decimal
-            ["ktwist", "--space", "su", "--n", "15000", "--level", "15013"],
         ],
     )
     def test_too_many_generators_exits_one(self, capsys, argv):
@@ -487,6 +525,69 @@ class TestGeneratorLimit:
                            "--level", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["dims"] == {"even": 0, "odd": 0}
+
+
+class TestSuRankLimit:
+    """n above ktwist.MAX_SU_RANK is refused before any arithmetic; at
+    n = 20000 the answer would print 2^19999 in its notes, a number past
+    Python's 4300-digit int-to-str limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ktwist", "--space", "su", "--n", "20000", "--level", "1"],
+            ["ktwist", "--space", "su", "--n", "20000", "--level", "1", "--homology"],
+            ["hp", "--twisted", "--space", "su", "--n", "20000", "--level", "1"],
+            ["hp", "--space", "su", "--n", "20000", "--format", "json"],
+            ["ktwist", "--space", "su", "--n", "4097", "--level", "1"],
+            # 2^14999 generators: refused by the rank limit before power is reached
+            ["ktwist", "--space", "su", "--n", "15000", "--level", "15013"],
+        ],
+    )
+    def test_over_the_limit_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: n must be at most {MAX_SU_RANK}\n"
+
+    def test_limit_itself_is_answered(self, capsys):
+        n = str(MAX_SU_RANK)
+        code, out, _ = run(capsys, "ktwist", "--space", "su", "--n", n, "--level", "1",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["k_total"]["group"] == {"free_rank": 0, "torsion": []}
+        assert f"2^(n-1) = {2 ** (MAX_SU_RANK - 1)} factors" in data["provenance"][1]
+        code, out, _ = run(capsys, "hp", "--twisted", "--space", "su", "--n", n,
+                           "--level", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dims"] == {"even": 0, "odd": 0}
+        code, out, _ = run(capsys, "hp", "--space", "su", "--n", n, "--format", "json")
+        assert code == 0
+        half = str(2 ** (MAX_SU_RANK - 2))
+        assert json.loads(out)["dims"] == {"even": int(half), "odd": int(half)}
+
+
+class TestStrictMatrixSizes:
+    """rows and cols are structural counts: JSON integers only."""
+
+    @pytest.mark.parametrize("command", ["snf", "group"])
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [1.9, True, "1"])
+    def test_non_integer_size_exits_one(self, command, field, value):
+        matrix = {"rows": 1, "cols": 1, "entries": [["6"]], field: value}
+        payload = json.dumps(matrix if command == "snf" else {"relations": matrix})
+        code, out, err = call([command, "--format", "json"], payload)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: matrix {field} must be a JSON integer\n"
+
+    def test_hom_matrix_size_exits_one(self):
+        z = group_to_json(FgAbGroup.free(1))
+        payload = {"source": z, "target": z, "matrix": {"rows": 1, "cols": 1.0, "entries": [[2]]}}
+        code, out, err = call(["hom"], json.dumps(payload))
+        assert (code, out) == (1, "")
+        assert err == "error: matrix cols must be a JSON integer\n"
 
 
 def call(argv, payload=None):

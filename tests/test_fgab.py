@@ -32,7 +32,6 @@ from ktower.fgab import (
     kernel,
     power,
     present,
-    rationalized_rank,
     same_subgroup,
 )
 from ktower.intlin import IntMatrix
@@ -144,8 +143,8 @@ class TestSums:
         assert power(FgAbGroup(1, (2,)), MAX_POWER_GENERATORS).free_rank == MAX_POWER_GENERATORS
         assert power(FgAbGroup.trivial(), 2**39) == FgAbGroup.trivial()
 
-    def test_rationalized_rank(self):
-        assert rationalized_rank(FgAbGroup(3, (2, 2))) == 3
+    def test_free_rank_is_the_rational_rank(self):
+        assert FgAbGroup(3, (2, 2)).free_rank == 3
 
 
 # cyclic orders as they arrive from users: 0 (free), 1 (trivial), repeats
@@ -209,6 +208,25 @@ class TestGcdLcmChains:
 
     def test_power_keeps_repeats_together(self):
         assert power(FgAbGroup(1, (2, 4)), 2) == FgAbGroup(2, (2, 2, 4, 4))
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            [2] * 120,
+            [2, 4] * 60,
+            [4, 2] * 60,
+            [6, 4, 9] * 40,
+            [3] * 50 + [9] * 50 + [27] * 20,
+            [12] * 40 + [2] * 40 + [0, 1] * 10 + [12] * 40,
+            [8, 4, 2, 1] * 30,
+        ],
+        ids=lambda orders: f"{len(orders)}-orders-from-{orders[0]}",
+    )
+    def test_long_runs_of_repeated_orders(self, orders):
+        # orders that the chain already divides skip whole runs of factors
+        g = FgAbGroup.from_orders(orders)
+        assert is_canonical(g)
+        assert g == snf_reference(orders)
 
 
 class TestElements:

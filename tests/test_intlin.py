@@ -16,7 +16,6 @@ from ktower.intlin import (
     matrix_to_json,
     minor_gcd_factors,
     snf,
-    snf_with_inverses,
     solve_integral,
 )
 
@@ -92,7 +91,7 @@ class TestSmith:
     @settings(max_examples=100)
     @given(matrices)
     def test_tracked_inverses(self, a):
-        full = snf_with_inverses(a)
+        full = snf(a)
         assert full.u @ full.u_inv == IntMatrix.identity(a.rows)
         assert full.v @ full.v_inv == IntMatrix.identity(a.cols)
 
@@ -221,3 +220,10 @@ class TestJson:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[1]]})
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, "1", None, [1]])
+    def test_sizes_must_be_json_integers(self, field, value):
+        obj = {"rows": 1, "cols": 1, "entries": [["5"]], field: value}
+        with pytest.raises(ValueError, match=f"matrix {field} must be a JSON integer"):
+            matrix_from_json(obj)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktower.fgab import FgAbGroup, rationalized_rank
+from ktower.fgab import FgAbGroup
 from ktower.towers import (
     CountableProductDescriptor,
     CountableSumDescriptor,
@@ -23,7 +23,6 @@ from ktower.ktwist import (
     first_trivial_rank,
     stabilize,
     twisted_k,
-    twisted_khomology,
 )
 
 
@@ -203,12 +202,12 @@ class TestSUFinite:
                     assert total == FgAbGroup.trivial()
                 else:
                     assert total.torsion == (order,) * 2 ** (n - 1)
-                assert rationalized_rank(total) == 0
+                assert total.free_rank == 0
 
     def test_khomology_total_agrees(self):
         for n, level in [(2, 4), (3, 3), (4, 5)]:
             s = SUFinite(n, level)
-            assert twisted_khomology(s).total == twisted_k(s).total
+            assert twisted_k(s, homology=True).total == twisted_k(s).total
 
     def test_provenance_names_rules(self):
         out = twisted_k(SUFinite(3, 3))
@@ -223,19 +222,19 @@ class TestSphere3:
         assert out.graded.k1 == FgAbGroup.cyclic(5)
 
     def test_khomology_shape(self):
-        out = twisted_khomology(Sphere3(7))
+        out = twisted_k(Sphere3(7), homology=True)
         assert out.graded.k0 == FgAbGroup.trivial()
         assert out.graded.k1 == FgAbGroup.cyclic(7)
 
     def test_rank_zero(self):
-        assert rationalized_rank(twisted_k(Sphere3(9)).total) == 0
+        assert twisted_k(Sphere3(9)).total.free_rank == 0
 
 
 class TestSphereDisjointUnion:
     def test_product_versus_sum(self):
         union = SphereDisjointUnion()
         k = twisted_k(union)
-        kh = twisted_khomology(union)
+        kh = twisted_k(union, homology=True)
         assert isinstance(k.total, CountableProductDescriptor)
         assert isinstance(kh.total, CountableSumDescriptor)
         for upto in range(1, 13):
@@ -262,14 +261,14 @@ class TestSUInfinite:
         assert isinstance(out.graded.k1, TrivialLimit)
 
     def test_khomology_trivial_at_level_two(self):
-        out = twisted_khomology(SUInfinite(2))
+        out = twisted_k(SUInfinite(2), homology=True)
         assert isinstance(out.total, TrivialLimit)
 
     def test_unproven_when_bound_too_small(self):
         out = twisted_k(SUInfinite(2), bound=2)
         assert isinstance(out.total, UnprovenLimit)
         assert out.total.bound == 2
-        out_h = twisted_khomology(SUInfinite(2), bound=2)
+        out_h = twisted_k(SUInfinite(2), bound=2, homology=True)
         assert isinstance(out_h.total, UnprovenLimit)
 
     def test_verdict_matches_table_first_one(self):
