@@ -35,7 +35,7 @@ from .fgab import (
     kernel,
     sequence_from_json,
 )
-from .intlin import _parse_int, matrix_from_json, matrix_to_json, snf
+from .intlin import _parse_int, matrix_from_json, matrix_to_json, smith_factors, snf
 from .ktwist import (
     Sphere3,
     SphereDisjointUnion,
@@ -88,7 +88,10 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
 
 def _read_payload(args) -> dict:
     if getattr(args, "input", None):
-        text = Path(args.input).read_text()
+        try:
+            text = Path(args.input).read_text()
+        except OSError:  # missing, a directory, unreadable
+            raise ValueError(f"cannot read {args.input}") from None
     else:
         text = sys.stdin.read()
     if not text.strip():
@@ -103,23 +106,26 @@ def _read_payload(args) -> dict:
 
 
 def _handle_snf(args):
-    payload = _read_payload(args)
-    dec = snf(matrix_from_json(payload))
+    a = matrix_from_json(_read_payload(args))
     out = None
     if args.format == "json":
         # Only the JSON form prints the transforms, whose entries can pass
         # Python's limit on int-to-str digits; the table needs the factors.
+        dec = snf(a)
+        factors = dec.factors
         out = {
-            "factors": [str(d) for d in dec.factors],
+            "factors": [str(d) for d in factors],
             "s": matrix_to_json(dec.s),
             "u": matrix_to_json(dec.u),
             "v": matrix_to_json(dec.v),
         }
-    rank = sum(1 for d in dec.factors if d != 0)
+    else:
+        factors = smith_factors(a)
+    rank = sum(1 for d in factors if d != 0)
     table = _table(
         ["quantity", "value"],
         [
-            ["factors", ", ".join(str(d) for d in dec.factors) or "(none)"],
+            ["factors", ", ".join(str(d) for d in factors) or "(none)"],
             ["rank", str(rank)],
         ],
     )
@@ -505,12 +511,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
-        return 1
     text = canonical_json(out) if args.format == "json" else table
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError:  # a missing directory, a directory, no permission
+            print(f"error: cannot write {args.output}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

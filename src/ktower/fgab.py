@@ -25,6 +25,7 @@ from .intlin import (
     lattice_equal,
     matrix_from_json,
     matrix_to_json,
+    smith_factors,
     snf,
     solve_integral,
 )
@@ -277,13 +278,16 @@ def present(relations: IntMatrix) -> QuotientPresentation:
 def from_presentation(relations: IntMatrix) -> FgAbGroup:
     """Canonical form of Z^rows modulo the column lattice of ``relations``.
 
-    Use present() when the change of basis is needed to transport
-    elements between the presentation and the canonical form.
+    Only the invariant factors are computed; use present() when the
+    change of basis is needed to transport elements between the
+    presentation and the canonical form.
 
     >>> from_presentation(IntMatrix.diagonal([2, 1, 0]))
     FgAbGroup(free_rank=1, torsion=(2,))
     """
-    return present(relations).group
+    factors = smith_factors(relations)
+    rank = sum(1 for d in factors if d)
+    return FgAbGroup(relations.rows - rank, tuple(d for d in factors if d >= 2))
 
 
 @dataclass(frozen=True)
@@ -436,8 +440,8 @@ def cokernel_data(f: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:
-    """target / im(f) in canonical form."""
-    return cokernel_data(f)[0]
+    """target / im(f) in canonical form, without the projection."""
+    return from_presentation(image_lattice(f))
 
 
 def same_subgroup(a: Homomorphism, b: Homomorphism) -> bool:

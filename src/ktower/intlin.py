@@ -299,6 +299,83 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     return _snf_core(a)
 
 
+def smith_factors(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of ``a``, equal to ``snf(a).factors``, without the
+    transforms.
+
+    The elimination is _snf_core's, step for step, on the working matrix
+    alone.  Once a pivot's row and column are clear, later steps leave them
+    as they are, so each step works on the live block below and right of
+    the pivots placed so far; the block drops its first row and column
+    when its pivot is done.
+
+    >>> smith_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    >>> smith_factors(IntMatrix.from_rows([[0, 0], [0, 3], [0, 0]]))
+    (3, 0)
+    """
+    s = [list(row) for row in a.entries]
+    factors = []
+    while s and s[0]:
+        best, best_abs = None, 0
+        for i, row in enumerate(s):
+            for j, x in enumerate(row):
+                if x and (best is None or abs(x) < best_abs):
+                    best, best_abs = (i, j), abs(x)
+        if best is None:
+            break
+        bi, bj = best
+        s[0], s[bi] = s[bi], s[0]
+        if bj:
+            for r in s:
+                r[0], r[bj] = r[bj], r[0]
+
+        while True:
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(1, len(s)):
+                    e = s[i][0]
+                    if e:
+                        top, p = s[0], s[0][0]
+                        if e % p == 0:
+                            q = e // p
+                            s[i] = [d - q * c for c, d in zip(top, s[i])]
+                        else:
+                            g, x, y = _xgcd(p, e)
+                            pg, eg = p // g, e // g
+                            s[0], s[i] = (
+                                [x * c + y * d for c, d in zip(top, s[i])],
+                                [pg * d - eg * c for c, d in zip(top, s[i])],
+                            )
+                        dirty = True
+                top = s[0]
+                for j in range(1, len(top)):
+                    e = top[j]
+                    if e:
+                        p = top[0]
+                        if e % p == 0:
+                            q = e // p
+                            for r in s:
+                                r[j] -= q * r[0]
+                        else:
+                            g, x, y = _xgcd(p, e)
+                            pg, eg = p // g, e // g
+                            for r in s:
+                                r[0], r[j] = x * r[0] + y * r[j], pg * r[j] - eg * r[0]
+                        dirty = True
+            # the chain repair of _snf_core: fold in a row that the pivot
+            # does not divide, and clear again
+            p = s[0][0]
+            bad = next((r for r in s[1:] if any(x % p for x in r)), None)
+            if bad is None:
+                break
+            s[0] = [c + d for c, d in zip(s[0], bad)]
+        factors.append(abs(s[0][0]))
+        s = [r[1:] for r in s[1:]]
+    return tuple(factors) + (0,) * (min(a.rows, a.cols) - len(factors))
+
+
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:

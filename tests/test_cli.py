@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ktower import cli
+from ktower import cli, intlin
 from ktower.cli import canonical_json, main
 from ktower.fgab import (
     FgAbGroup,
@@ -663,3 +663,91 @@ class TestSharedParser:
         second = cli._parser().parse_args(SU)
         assert first is not second
         assert first.homology and not second.homology
+
+
+class TestFileErrors:
+    """An unreadable --input or unwritable --output is one stderr line and
+    exit 1, never a traceback."""
+
+    PAYLOAD = json.dumps({"orders": [2, 3]})
+
+    def test_missing_input_file_keeps_its_message(self):
+        code, out, err = call(["group", "--input", "/nonexistent/payload.json"])
+        assert (code, out, err) == (1, "", "error: cannot read /nonexistent/payload.json\n")
+
+    def test_input_is_a_directory(self, tmp_path):
+        code, out, err = call(["group", "--input", str(tmp_path)])
+        assert (code, out, err) == (1, "", f"error: cannot read {tmp_path}\n")
+
+    def test_output_directory_missing(self, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = call(["group", "--output", str(target)], self.PAYLOAD)
+        assert (code, out, err) == (1, "", f"error: cannot write {target}\n")
+        assert not target.parent.exists()
+
+    def test_output_is_a_directory(self, tmp_path):
+        code, out, err = call(["group", "--output", str(tmp_path)], self.PAYLOAD)
+        assert (code, out, err) == (1, "", f"error: cannot write {tmp_path}\n")
+
+    def test_writable_output_still_works(self, tmp_path):
+        target = tmp_path / "x.txt"
+        code, out, err = call(["group", "--output", str(target)], self.PAYLOAD)
+        assert (code, out, err) == (0, "", "")
+        assert "Z/6" in target.read_text()
+
+
+class TestFactorsOnlyPaths:
+    """Requests that print only invariant factors run no transform-tracking
+    Smith form for them; the JSON snf, which prints u and v, runs one."""
+
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        calls = []
+        core = intlin._snf_core
+
+        def counting(a):
+            calls.append((a.rows, a.cols))
+            return core(a)
+
+        monkeypatch.setattr(intlin, "_snf_core", counting)
+        return calls
+
+    MATRIX = json.dumps(matrix_to_json(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])))
+
+    def test_snf_table(self, snf_calls):
+        code, out, _ = call(["snf"], self.MATRIX)
+        assert code == 0 and "2, 6, 12" in out
+        assert snf_calls == []
+
+    def test_snf_json_runs_one(self, snf_calls):
+        code, out, _ = call(["snf", "--format", "json"], self.MATRIX)
+        assert code == 0 and json.loads(out)["factors"] == ["2", "6", "12"]
+        assert snf_calls == [(3, 3)]
+
+    def test_group_relations(self, snf_calls):
+        code, out, _ = call(["group", "--format", "json"], json.dumps({"relations": json.loads(self.MATRIX)}))
+        assert code == 0 and json.loads(out)["group"] == {"free_rank": 0, "torsion": ["2", "6", "12"]}
+        assert snf_calls == []
+
+    def test_hom_cokernel_step(self, snf_calls, monkeypatch):
+        during = []
+        inner = cli.cokernel
+
+        def watched(f):
+            before = len(snf_calls)
+            result = inner(f)
+            during.append(len(snf_calls) - before)
+            return result
+
+        monkeypatch.setattr(cli, "cokernel", watched)
+        z4 = FgAbGroup.cyclic(4)
+        payload = json.dumps(hom_to_json(Homomorphism(z4, z4, IntMatrix.from_rows([[2]]))))
+        code, out, _ = call(["hom", "--format", "json"], payload)
+        assert code == 0 and json.loads(out)["cokernel"] == {"free_rank": 0, "torsion": ["2"]}
+        assert during == [0]
+        assert snf_calls  # kernel and image still transport through present()
+
+    def test_colim_isomorphism_test(self, snf_calls):
+        code, out, _ = call(["tower", "colim", "--builtin", "z-times-2", "--format", "json"])
+        assert code == 3 and json.loads(out)["verdict"]["kind"] == "unproven"
+        assert snf_calls == []

@@ -103,6 +103,21 @@ class TestPresentation:
         prod = pres.to_canonical @ pres.generator_reps
         assert prod == IntMatrix.identity(g.generator_count)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda r: st.integers(0, 6).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.integers(-12, 12), min_size=c, max_size=c),
+                    min_size=r,
+                    max_size=r,
+                ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+            )
+        )
+    )
+    def test_factors_only_matches_present(self, rel):
+        assert from_presentation(rel) == present(rel).group
+
     def test_unimodular_invariance(self):
         rng = random.Random(7)
         rel = IntMatrix.from_rows([[2, 0], [0, 6], [4, 2]])
@@ -348,6 +363,12 @@ class TestKernelImageCokernel:
         k, _ = kernel(f)
         im, _ = image(f)
         assert k.free_rank + im.free_rank == g.free_rank
+
+    @settings(max_examples=80, deadline=None)
+    @given(groups, groups, st.integers(0, 10**6))
+    def test_cokernel_matches_cokernel_data(self, g, h, seed):
+        f = random_valid_hom(random.Random(seed), g, h)
+        assert cokernel(f) == cokernel_data(f)[0]
 
     def test_enumeration_oracle_spot(self):
         rng = random.Random(11)

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ktower.intlin import (
     IntMatrix,
+    _snf_core,
     determinant,
     integer_kernel,
     lattice_basis,
@@ -15,6 +17,7 @@ from ktower.intlin import (
     matrix_from_json,
     matrix_to_json,
     minor_gcd_factors,
+    smith_factors,
     snf,
     solve_integral,
 )
@@ -37,15 +40,18 @@ def reference_det(m: IntMatrix) -> int:
     return total
 
 
-matrices = st.integers(0, 5).flatmap(
-    lambda r: st.integers(0, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-30, 30), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+def _shaped(max_dim, entries):
+    """Matrices with 0..max_dim rows and 0..max_dim columns of ``entries``."""
+    return st.integers(0, max_dim).flatmap(
+        lambda r: st.integers(0, max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
+            ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+        )
     )
-)
+
+
+matrices = _shaped(5, st.integers(-30, 30))
 
 
 class TestSmith:
@@ -94,6 +100,75 @@ class TestSmith:
         full = snf(a)
         assert full.u @ full.u_inv == IntMatrix.identity(a.rows)
         assert full.v @ full.v_inv == IntMatrix.identity(a.cols)
+
+
+# mostly zeros and small values, with entries up to 10^30 mixed in
+wide_entries = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30)
+)
+# r x k times k x c with k < min(r, c): rank at most k, below full
+low_rank = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.integers(0, min(r, c) - 1).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=r, max_size=r),
+                st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=k, max_size=k),
+            ).map(
+                lambda ab: IntMatrix.from_rows(ab[0], cols=k) @ IntMatrix.from_rows(ab[1], cols=c)
+            )
+        )
+    )
+)
+
+
+def digit_limit_matrices():
+    """The fixed dense 24..30 square matrices of the benchmark's
+    snf.digit-limit class, rebuilt from the same seeds."""
+    out = []
+    for n, k in ((24, 3), (26, 3), (28, 0), (30, 1)):
+        rng = random.Random(f"snf-digit-limit-{n}-{k}")
+        out.append(IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]))
+    return out
+
+
+class TestSmithFactors:
+    """The transform-free elimination against _snf_core and the minor oracle."""
+
+    def test_known_values(self):
+        assert smith_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
+        assert smith_factors(IntMatrix.from_rows([[-6]])) == (6,)
+        assert smith_factors(IntMatrix.zero(3, 2)) == (0, 0)
+        # rank 1 in a 3 x 3: trailing zeros up to min(rows, cols)
+        assert smith_factors(IntMatrix.from_rows([[2, 4, 6], [4, 8, 12], [6, 12, 18]])) == (2, 0, 0)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_zero_dimensional(self, shape):
+        assert smith_factors(IntMatrix.zero(*shape)) == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shaped(7, wide_entries))
+    def test_matches_snf_core(self, a):
+        assert smith_factors(a) == _snf_core(a).factors
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank)
+    def test_matches_snf_core_below_full_rank(self, a):
+        fs = smith_factors(a)
+        assert fs == _snf_core(a).factors
+        assert fs[-1] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shaped(6, st.integers(-30, 30)))
+    def test_matches_minor_oracle(self, a):
+        assert tuple(d for d in smith_factors(a) if d) == minor_gcd_factors(a)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_digit_limit_matrices_against_determinant(self, index):
+        a = digit_limit_matrices()[index]
+        fs = smith_factors(a)
+        assert len(fs) == a.rows and all(fs)
+        assert all(y % x == 0 for x, y in zip(fs, fs[1:]))
+        assert math.prod(fs) == abs(determinant(a))
 
 
 class TestMinorOracle:
