@@ -258,7 +258,8 @@ def _space_from_args(args):
     raise ValueError(f"unknown space {args.space!r}")
 
 
-def _grid_payload(n_max: int, level_max: int):
+def _handle_grid(args):
+    n_max, level_max = args.n_max, args.level_max
     if n_max < 2 or level_max < 2:
         raise ValueError("grid needs n_max >= 2 and level_max >= 2")
     rows_json, rows_text = [], []
@@ -286,11 +287,8 @@ def _grid_payload(n_max: int, level_max: int):
 
 
 def _handle_ktwist(args):
-    if args.table:
-        n_max, level_max = args.table
-        return _grid_payload(n_max, level_max)
     if not args.space:
-        raise ValueError("ktwist needs --space or --table")
+        raise ValueError("ktwist needs --space")
     space = _space_from_args(args)
     result = twisted_k(space, bound=args.bound, homology=args.homology)
     out = {
@@ -403,10 +401,6 @@ def _handle_product(args):
     return 0, out, _table(["quantity", "value"], rows)
 
 
-def _handle_grid(args):
-    return _grid_payload(args.n_max, args.level_max)
-
-
 # --- parser -------------------------------------------------------------------
 
 
@@ -443,13 +437,6 @@ def _build_parser() -> _Parser:
     ktw.add_argument("--level", type=int)
     ktw.add_argument("--twist", type=int)
     ktw.add_argument("--homology", action="store_true", help="compute K-homology instead")
-    ktw.add_argument(
-        "--table",
-        nargs=2,
-        type=int,
-        metavar=("N_MAX", "LEVEL_MAX"),
-        help="emit the order-parameter table instead of a single space",
-    )
 
     hp = sub.add_parser("hp", parents=[common], help="periodic cyclic dimensions")
     hp.add_argument("--space", choices=("su", "su-inf"))

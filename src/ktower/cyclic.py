@@ -114,11 +114,12 @@ def hp_su_infinity(truncation: int) -> HpTowerReport:
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
+    _check_su_rank(truncation)
     levels = tuple((n, graded_dims(su_de_rham(n))) for n in range(2, truncation + 1))
     steps = []
-    for n in range(3, truncation + 1):
-        r = restriction(n)
-        src, img = graded_dims(r.source), r.image_dims()
+    # the restriction SU(n) -> SU(n-1) is onto the level below, so its
+    # image has the dimensions of level n-1
+    for (_, img), (n, src) in zip(levels, levels[1:]):
         if (2 * img.even, 2 * img.odd) != (src.even, src.odd):
             raise ValueError(f"restriction at n = {n} does not halve the dimensions")
         steps.append(n)

@@ -20,14 +20,12 @@ from .intlin import (
     IntMatrix,
     _parse_int,
     integer_kernel,
-    lattice_basis,
-    lattice_contains,
+    lattice_coordinates,
     lattice_equal,
     matrix_from_json,
     matrix_to_json,
     smith_factors,
     snf,
-    solve_integral,
 )
 
 
@@ -218,14 +216,6 @@ class GroupElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-c for c in self.coords))
-
     def scale(self, k: int) -> "GroupElement":
         return GroupElement(self.group, tuple(k * c for c in self.coords))
 
@@ -337,23 +327,17 @@ class Homomorphism:
         object.__setattr__(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
 
     def _check_valid(self) -> None:
+        # d times the image of a generator of order d must lie in the
+        # target's relation lattice, spanned by t_i * e_{free_rank + i}:
+        # its free rows must vanish and torsion row i must be a multiple of
+        # t_i.  Free source generators (d = 0) are unconstrained.
         orders = self.source.generator_orders()
-        torsion_cols = [j for j, d in enumerate(orders) if d]
-        if not torsion_cols:
-            return
-        stacked = IntMatrix(
-            self.matrix.rows,
-            len(torsion_cols),
-            tuple(
-                tuple(orders[j] * row[j] for j in torsion_cols)
-                for row in self.matrix.entries
-            ),
-        )
-        if not lattice_contains(self.target.relation_matrix(), stacked):
-            raise ValueError(
-                "matrix does not define a homomorphism: some torsion generator's "
-                "image violates its order"
-            )
+        for t, row in zip(self.target.generator_orders(), self.matrix.entries):
+            if any(d and (d * x % t if t else x) for d, x in zip(orders, row)):
+                raise ValueError(
+                    "matrix does not define a homomorphism: some torsion generator's "
+                    "image violates its order"
+                )
 
     @staticmethod
     def identity(g: FgAbGroup) -> "Homomorphism":
@@ -374,9 +358,6 @@ class Homomorphism:
         if other.target != self.source:
             raise ValueError("composition shape mismatch")
         return Homomorphism._trusted(other.source, self.target, self.matrix @ other.matrix)
-
-    def is_zero_map(self) -> bool:
-        return self.matrix.is_zero()
 
 
 def image_lattice(f: Homomorphism) -> IntMatrix:
@@ -406,11 +387,12 @@ def _quotient_as_subgroup(
 
     gens must contain the ambient relation lattice.
     """
-    basis = lattice_basis(gens)
-    rel = ambient.relation_matrix()
-    w = solve_integral(basis, rel)
-    if w is None:
+    # the basis has full column rank, so the coordinates w of the ambient
+    # relations in it are unique
+    found = lattice_coordinates(gens, ambient.relation_matrix())
+    if found is None:
         raise ValueError("generators do not contain the ambient relation lattice")
+    basis, w = found
     pres = present(w)
     incl_matrix = basis @ pres.generator_reps
     incl = Homomorphism(pres.group, ambient, incl_matrix)
@@ -567,7 +549,3 @@ def sequence_from_json(obj) -> list[Homomorphism]:
     if not isinstance(obj, dict) or not isinstance(obj.get("maps"), list):
         raise ValueError('sequence JSON must be {"maps": [...]}')
     return [hom_from_json(h) for h in obj["maps"]]
-
-
-def sequence_to_json(maps: Sequence[Homomorphism]) -> dict:
-    return {"maps": [hom_to_json(f) for f in maps]}

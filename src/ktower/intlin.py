@@ -1,5 +1,5 @@
 """Exact integer linear algebra: matrices over Z, Smith normal form,
-minor-gcd invariant factors, and integral linear solving.
+minor-gcd invariant factors, and lattice coordinates.
 
 Everything here works with Python's arbitrary-precision integers.  No
 floating point, no fixed-width arithmetic, so no overflow anywhere.
@@ -99,14 +99,8 @@ class IntMatrix:
             tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx),
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in row) for row in self.entries))
 
 
 @dataclass(frozen=True)
@@ -432,40 +426,47 @@ def minor_gcd_factors(a: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def solve_integral(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Solve a @ x = b over the integers; None when no integral solution.
+def lattice_coordinates(
+    gens: IntMatrix, vectors: IntMatrix
+) -> Optional[tuple[IntMatrix, IntMatrix]]:
+    """A basis of the column lattice of ``gens`` and the coordinates of
+    ``vectors`` in it, or None when some column of ``vectors`` lies
+    outside that lattice.
 
-    b may have several columns; each is solved simultaneously.
+    With u @ gens @ v = s, the lattice is the span of u_inv @ s, whose
+    nonzero columns d_i * (column i of u_inv) form the basis (full column
+    rank).  Since vectors = u_inv @ (u @ vectors), coordinate row i is row
+    i of u @ vectors divided by d_i, and the rows past the rank must
+    vanish.  One Smith decomposition answers the whole question.
 
-    >>> a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    >>> solve_integral(a, IntMatrix.column([4, 9])).entries
-    ((2,), (3,))
-    >>> solve_integral(a, IntMatrix.column([1, 1])) is None
+    >>> basis, coords = lattice_coordinates(
+    ...     IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.column([4, 9]))
+    >>> basis @ coords == IntMatrix.column([4, 9])
+    True
+    >>> lattice_coordinates(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
     True
     """
-    if a.rows != b.rows:
-        raise ValueError("solve_integral requires matching row counts")
-    dec = _snf_core(a)
-    c = dec.u @ b
-    y = [[0] * b.cols for _ in range(a.cols)]
-    k = len(dec.factors)
-    for i in range(a.rows):
-        d = dec.factors[i] if i < k else 0
-        for j in range(b.cols):
-            rhs = c.entries[i][j]
-            if d == 0:
-                if rhs != 0:
-                    return None
-            else:
-                if rhs % d:
-                    return None
-                y[i][j] = rhs // d
-    return dec.v @ IntMatrix.from_rows(y, cols=b.cols)
+    if gens.rows != vectors.rows:
+        raise ValueError("lattice_coordinates requires matching row counts")
+    dec = _snf_core(gens)
+    rank = sum(1 for d in dec.factors if d)
+    c = dec.u @ vectors
+    if any(any(row) for row in c.entries[rank:]):
+        return None
+    coords = []
+    for d, row in zip(dec.factors[:rank], c.entries):
+        if any(x % d for x in row):
+            return None
+        coords.append(tuple(x // d for x in row))
+    basis = tuple(
+        tuple(d * x for d, x in zip(dec.factors[:rank], row)) for row in dec.u_inv.entries
+    )
+    return IntMatrix(gens.rows, rank, basis), IntMatrix(rank, vectors.cols, tuple(coords))
 
 
 def lattice_contains(gens: IntMatrix, vectors: IntMatrix) -> bool:
     """Whether every column of ``vectors`` lies in the column lattice of ``gens``."""
-    return solve_integral(gens, vectors) is not None
+    return lattice_coordinates(gens, vectors) is not None
 
 
 def lattice_equal(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
@@ -481,20 +482,6 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     rank = sum(1 for d in dec.factors if d)
     idx = list(range(rank, a.cols))
     return dec.v.submatrix(list(range(a.cols)), idx)
-
-
-def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    """A basis (columns, full column rank) of the lattice spanned by ``gens``.
-
-    With u @ gens @ v = s, the lattice equals the span of u_inv @ s, whose
-    nonzero columns are d_i * (column i of u_inv).
-    """
-    dec = _snf_core(gens)
-    rank = sum(1 for d in dec.factors if d)
-    cols = []
-    for i in range(rank):
-        cols.append(tuple(dec.factors[i] * dec.u_inv.entries[r][i] for r in range(gens.rows)))
-    return IntMatrix(gens.rows, rank, tuple(zip(*cols)) if cols else tuple(() for _ in range(gens.rows)))
 
 
 # --- JSON transport -------------------------------------------------------

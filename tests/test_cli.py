@@ -325,10 +325,14 @@ class TestKtwist:
         assert code == 3
         assert json.loads(out)["k_total"]["kind"] == "unproven"
 
-    def test_table_mode(self, capsys):
-        code, out, _ = run(capsys, "ktwist", "--table", "4", "3")
+    def test_grid_is_the_one_table_path(self, capsys):
+        code, out, _ = run(capsys, "grid", "4", "3")
         assert code == 0
         assert "first-1" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["ktwist", "--table", "4", "3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --table" in capsys.readouterr().err
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "ktwist", "--space", "su", "--n", "3")
@@ -542,6 +546,8 @@ class TestSuRankLimit:
             ["ktwist", "--space", "su", "--n", "4097", "--level", "1"],
             # 2^14999 generators: refused by the rank limit before power is reached
             ["ktwist", "--space", "su", "--n", "15000", "--level", "15013"],
+            # refused before any of the 4,095 lower levels is built
+            ["hp", "--space", "su-inf", "--truncate", "4097"],
         ],
     )
     def test_over_the_limit_exits_one(self, capsys, argv):
@@ -617,7 +623,7 @@ SHARED_SEQUENCE = [
     (["product", "--truncate", "12", "--witness-bound", "5"], None),
     (["product"], None),
     (["hp", "--space", "su", "--n", "5", "--format", "json"], None),
-    (["ktwist", "--table", "4", "3"], None),
+    (["grid", "4", "3"], None),
     (["ktwist", "--space", "s3", "--twist", "5", "--homology"], None),
     (["ktwist", "--space", "s3", "--twist", "5"], None),
     (["ktwist", "--level", "3"], None),

@@ -34,7 +34,8 @@ from ktower.fgab import (
     present,
     same_subgroup,
 )
-from ktower.intlin import IntMatrix
+from ktower import intlin
+from ktower.intlin import IntMatrix, lattice_contains
 
 
 def _chain(pairs):
@@ -320,7 +321,52 @@ class TestHomomorphisms:
             Homomorphism(g, h, IntMatrix.from_rows(rows, cols=g.generator_count))
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(groups, groups, st.integers(0, 10**6))
+    def test_validity_matches_lattice_rule(self, g, h, seed):
+        # The rule that divisibility replaced: d times the image column of
+        # each generator of order d lies in the target relation lattice.
+        rng = random.Random(seed)
+        rows = [list(r) for r in random_valid_hom(rng, g, h).matrix.entries]
+        for _ in range(rng.randint(0, 2)):
+            if rows and rows[0]:
+                rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += rng.randint(-3, 3)
+        orders = g.generator_orders()
+        torsion_cols = [j for j, d in enumerate(orders) if d]
+        scaled = IntMatrix.from_rows(
+            [[orders[j] * r[j] for j in torsion_cols] for r in rows], cols=len(torsion_cols)
+        )
+        valid = lattice_contains(h.relation_matrix(), scaled)
+        m = IntMatrix.from_rows(rows, cols=g.generator_count)
+        if valid:
+            Homomorphism(g, h, m)
+        else:
+            with pytest.raises(ValueError, match="does not define a homomorphism"):
+                Homomorphism(g, h, m)
+
+
 class TestKernelImageCokernel:
+    def test_smith_forms_per_question(self, monkeypatch):
+        # validation decides by divisibility; image and kernel each take
+        # their basis and coordinates from one lattice_coordinates call
+        calls = []
+        core = intlin._snf_core
+
+        def counting(a):
+            calls.append((a.rows, a.cols))
+            return core(a)
+
+        monkeypatch.setattr(intlin, "_snf_core", counting)
+        src, tgt = FgAbGroup(1, (2, 4)), FgAbGroup(0, (4, 8))
+        f = Homomorphism(src, tgt, IntMatrix.from_rows([[0, 2, 1], [0, 4, 2]]))
+        assert calls == []
+        im = image(f)[0]
+        assert len(calls) == 2
+        calls.clear()
+        ker = kernel(f)[0]
+        assert len(calls) == 3
+        assert (im, ker) == (FgAbGroup(0, (4,)), FgAbGroup(1, (2,)))
+
     def test_times_two_on_z(self):
         z = FgAbGroup.free(1)
         f = Homomorphism(z, z, IntMatrix.from_rows([[2]]))

@@ -126,7 +126,10 @@ def run_case(argv, payload):
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(payload or ""), io.StringIO(), io.StringIO()
     try:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an unknown option this way
+            code = exc.code
         return [code, sys.stdout.getvalue(), sys.stderr.getvalue()]
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved

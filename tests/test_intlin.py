@@ -11,15 +11,14 @@ from ktower.intlin import (
     _snf_core,
     determinant,
     integer_kernel,
-    lattice_basis,
     lattice_contains,
+    lattice_coordinates,
     lattice_equal,
     matrix_from_json,
     matrix_to_json,
     minor_gcd_factors,
     smith_factors,
     snf,
-    solve_integral,
 )
 
 
@@ -40,15 +39,18 @@ def reference_det(m: IntMatrix) -> int:
     return total
 
 
+def _shaped_rows(r, max_cols, entries):
+    """Matrices with exactly r rows and 0..max_cols columns of ``entries``."""
+    return st.integers(0, max_cols).flatmap(
+        lambda c: st.lists(
+            st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
+        ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+    )
+
+
 def _shaped(max_dim, entries):
     """Matrices with 0..max_dim rows and 0..max_dim columns of ``entries``."""
-    return st.integers(0, max_dim).flatmap(
-        lambda r: st.integers(0, max_dim).flatmap(
-            lambda c: st.lists(
-                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
-            ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
-        )
-    )
+    return st.integers(0, max_dim).flatmap(lambda r: _shaped_rows(r, max_dim, entries))
 
 
 matrices = _shaped(5, st.integers(-30, 30))
@@ -208,48 +210,78 @@ class TestDeterminant:
         assert abs(determinant(a)) == math.prod(snf(a).factors)
 
 
-class TestSolveIntegral:
+class TestLatticeCoordinates:
     def test_basic(self):
         a = IntMatrix.from_rows([[2, 0], [0, 3]])
-        x = solve_integral(a, IntMatrix.column([4, 9]))
-        assert a @ x == IntMatrix.column([4, 9])
+        basis, coords = lattice_coordinates(a, IntMatrix.column([4, 9]))
+        assert basis @ coords == IntMatrix.column([4, 9])
 
     def test_no_solution(self):
         a = IntMatrix.from_rows([[2]])
-        assert solve_integral(a, IntMatrix.column([3])) is None
+        assert lattice_coordinates(a, IntMatrix.column([3])) is None
 
     def test_zero_columns(self):
         # empty lattice only contains zero
         a = IntMatrix.zero(2, 0)
-        assert solve_integral(a, IntMatrix.column([0, 0])) is not None
-        assert solve_integral(a, IntMatrix.column([1, 0])) is None
+        basis, coords = lattice_coordinates(a, IntMatrix.column([0, 0]))
+        assert (basis.rows, basis.cols, coords.rows, coords.cols) == (2, 0, 0, 1)
+        assert lattice_coordinates(a, IntMatrix.column([1, 0])) is None
 
     def test_zero_rows(self):
         a = IntMatrix.zero(0, 3)
-        x = solve_integral(a, IntMatrix.zero(0, 1))
-        assert x is not None and x.rows == 3
+        basis, coords = lattice_coordinates(a, IntMatrix.zero(0, 1))
+        assert (basis.rows, basis.cols, coords.rows, coords.cols) == (0, 0, 0, 1)
+
+    def test_row_counts_must_match(self):
+        with pytest.raises(ValueError, match="matching row counts"):
+            lattice_coordinates(IntMatrix.zero(2, 1), IntMatrix.zero(3, 1))
 
     @settings(max_examples=150)
     @given(matrices, st.data())
     def test_solution_when_constructed(self, a, data):
-        # build b = a @ w for a random integer w, so a solution must exist
+        # build b = a @ w for a random integer w, so b lies in the lattice
         w_rows = [
             [data.draw(st.integers(-5, 5)) for _ in range(2)] for _ in range(a.cols)
         ]
-        w = IntMatrix.from_rows(w_rows, cols=2)
-        b = a @ w
-        x = solve_integral(a, b)
-        assert x is not None
-        assert a @ x == b
+        b = a @ IntMatrix.from_rows(w_rows, cols=2)
+        found = lattice_coordinates(a, b)
+        assert found is not None
+        basis, coords = found
+        assert basis @ coords == b
 
-    @settings(max_examples=150)
-    @given(matrices, st.data())
-    def test_none_means_unsolvable_modulo_primes(self, a, data):
-        b_col = [data.draw(st.integers(-9, 9)) for _ in range(a.rows)]
-        b = IntMatrix.column(b_col)
-        x = solve_integral(a, b)
-        if x is not None:
-            assert a @ x == b
+    @settings(max_examples=100)
+    @given(matrices)
+    def test_basis_spans_same_lattice(self, a):
+        basis, _ = lattice_coordinates(a, IntMatrix.zero(a.rows, 0))
+        if a.cols and basis.cols:
+            assert lattice_equal(a, basis)
+        assert basis.cols == sum(1 for f in snf(a).factors if f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda r: st.tuples(
+                _shaped_rows(r, 4, st.integers(-12, 12)),
+                _shaped_rows(r, 2, st.integers(-12, 12)),
+                st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=4),
+                st.booleans(),
+            )
+        )
+    )
+    def test_none_exactly_off_the_lattice(self, drawn):
+        # Independent oracle: L(a) lies in L(a | b), and the two are equal
+        # exactly when they have the same rank and the same product of
+        # invariant factors, i.e. the same minor-gcd factors.
+        a, b, w, constructed = drawn
+        if constructed and len(w) >= a.cols:
+            b = a @ IntMatrix.from_rows(w[: a.cols], cols=2)
+        found = lattice_coordinates(a, b)
+        inside = minor_gcd_factors(a.hstack(b)) == minor_gcd_factors(a)
+        assert (found is not None) == inside
+        if found is not None:
+            basis, coords = found
+            assert basis @ coords == b
+            assert basis.cols == len(minor_gcd_factors(a))
 
 
 class TestLattices:
@@ -268,15 +300,6 @@ class TestLattices:
         k = integer_kernel(a)
         assert k.cols == 2
         assert (a @ k).is_zero()
-
-    @settings(max_examples=100)
-    @given(matrices)
-    def test_lattice_basis_spans_same_lattice(self, a):
-        basis = lattice_basis(a)
-        if a.cols and basis.cols:
-            assert lattice_equal(a, basis)
-        rank = sum(1 for f in snf(a).factors if f)
-        assert basis.cols == rank
 
 
 class TestJson:

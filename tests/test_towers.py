@@ -18,6 +18,7 @@ from ktower.fgab import (
     image,
     kernel,
     present,
+    same_subgroup,
 )
 from ktower.intlin import IntMatrix
 from ktower.towers import (
@@ -55,7 +56,7 @@ from ktower.towers import (
     truncated_product,
     unbounded_torsion_witness,
 )
-from ktower.towers import _is_isomorphism
+from ktower.towers import _bound_composites, _is_isomorphism
 
 Z = FgAbGroup.free(1)
 
@@ -410,6 +411,23 @@ def test_isomorphism_by_cokernel_matches_kernel_oracle(a, b, endo, seed):
     f = random_valid_hom(random.Random(seed), a, target)
     oracle = kernel(f)[0].is_trivial() and cokernel(f).is_trivial()
     assert _is_isomorphism(f) == oracle
+
+
+tower_groups = st.lists(st.sampled_from([2, 3, 4, 6, 8]), max_size=2).map(FgAbGroup.from_orders)
+
+
+@given(st.lists(tower_groups, min_size=2, max_size=6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_bound_composites_carry_images(levels, seed):
+    # C_L = map_at(L+1) o C_{L+1} by construction, so map_at(L+1) carries
+    # im(C_{L+1}) onto im(C_L) and inverse_limit need not compare them
+    rng = random.Random(seed)
+    maps = {n: random_valid_hom(rng, levels[n], levels[n - 1]) for n in range(1, len(levels))}
+    t = InverseTower(levels.__getitem__, maps.__getitem__, tail=LevelwiseFinite(),
+                     bound=len(levels) - 1)
+    c = [c_level for _, c_level, _ in _bound_composites(t)]
+    for level in range(len(c) - 1):
+        assert same_subgroup(t.map_at(level + 1).compose(c[level + 1]), c[level])
 
 
 class TestTowerJson:
