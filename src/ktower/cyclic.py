@@ -68,32 +68,6 @@ def su_de_rham(n: int) -> ExteriorAlgebra:
 
 
 @dataclass(frozen=True)
-class RestrictionMap:
-    """Algebra map induced by SU(n-1) < SU(n): the top generator dies,
-    the others map to their namesakes."""
-
-    source: ExteriorAlgebra
-    target: ExteriorAlgebra
-    killed_degree: int
-
-    def image_dims(self) -> GradedDims:
-        # surjective: every target monomial avoids the killed generator
-        return graded_dims(self.target)
-
-    def kernel_dims(self) -> GradedDims:
-        src, img = graded_dims(self.source), graded_dims(self.target)
-        return GradedDims(src.even - img.even, src.odd - img.odd)
-
-
-def restriction(n: int) -> RestrictionMap:
-    if n < 3:
-        raise ValueError("restriction needs n at least 3")
-    return RestrictionMap(
-        source=su_de_rham(n), target=su_de_rham(n - 1), killed_degree=2 * n - 1
-    )
-
-
-@dataclass(frozen=True)
 class HpTowerReport:
     """The restriction tower of graded dimensions up to a truncation."""
 

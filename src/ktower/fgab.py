@@ -220,18 +220,6 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * c for c in self.coords))
 
 
-def element_order(x: GroupElement) -> int:
-    """Least k >= 1 with k*x = 0; 0 means infinite order.
-
-    >>> element_order(GroupElement(FgAbGroup.cyclic(12), (8,)))
-    3
-    """
-    f = x.group.free_rank
-    if any(c for c in x.coords[:f]):
-        return 0
-    return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x.coords[f:], x.group.torsion)))
-
-
 @dataclass(frozen=True)
 class QuotientPresentation:
     """Z^p / (column lattice of relations) with transport both ways.
@@ -241,7 +229,6 @@ class QuotientPresentation:
     """
 
     group: FgAbGroup
-    relations: IntMatrix
     to_canonical: IntMatrix
     generator_reps: IntMatrix
 
@@ -258,10 +245,7 @@ def present(relations: IntMatrix) -> QuotientPresentation:
     to_canonical = dec.u.submatrix(selected, list(range(p)))
     generator_reps = dec.u_inv.submatrix(list(range(p)), selected)
     return QuotientPresentation(
-        group=group,
-        relations=relations,
-        to_canonical=to_canonical,
-        generator_reps=generator_reps,
+        group=group, to_canonical=to_canonical, generator_reps=generator_reps
     )
 
 
@@ -343,10 +327,6 @@ class Homomorphism:
     def identity(g: FgAbGroup) -> "Homomorphism":
         return Homomorphism._trusted(g, g, IntMatrix.identity(g.generator_count))
 
-    @staticmethod
-    def zero(source: FgAbGroup, target: FgAbGroup) -> "Homomorphism":
-        return Homomorphism(source, target, IntMatrix.zero(target.generator_count, source.generator_count))
-
     def apply(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
             raise ValueError("element is not in the source group")
@@ -412,13 +392,6 @@ def kernel(f: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
 def image(f: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     """Image subgroup with its inclusion into the target."""
     return _quotient_as_subgroup(f.target, image_lattice(f))
-
-
-def cokernel_data(f: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
-    """Cokernel together with the canonical projection from the target."""
-    pres = present(image_lattice(f))
-    proj = Homomorphism(f.target, pres.group, pres.to_canonical)
-    return pres.group, proj
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:

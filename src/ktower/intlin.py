@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: matrices over Z, Smith normal form,
-minor-gcd invariant factors, and lattice coordinates.
+"""Exact integer linear algebra: matrices over Z, Smith normal form (with
+transforms, or the invariant factors alone), lattice coordinates and
+equality, and integer kernels.
 
 Everything here works with Python's arbitrary-precision integers.  No
 floating point, no fixed-width arithmetic, so no overflow anywhere.
@@ -7,14 +8,8 @@ floating point, no fixed-width arithmetic, so no overflow anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
-
-# minor_gcd_factors enumerates all k x k minors, which is only sane for
-# small matrices; above this the caller should use snf instead.
-MINOR_ORACLE_LIMIT = 6
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -370,62 +365,6 @@ def smith_factors(a: IntMatrix) -> tuple[int, ...]:
     return tuple(factors) + (0,) * (min(a.rows, a.cols) - len(factors))
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def minor_gcd_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors from gcds of k x k minors, no elimination involved.
-
-    d_k = gcd(all k x k minors) / gcd(all (k-1) x (k-1) minors), stopping at
-    the rank (the first k whose minors are all zero).  The gcd over an empty
-    set is 0 and the empty 0 x 0 minor has determinant 1.  Deliberately an
-    independent route from snf so the two can cross-check each other.
-
-    >>> minor_gcd_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    (2, 4)
-    >>> minor_gcd_factors(IntMatrix.zero(3, 3))
-    ()
-    """
-    if min(a.rows, a.cols) > MINOR_ORACLE_LIMIT:
-        raise ValueError(
-            f"minor oracle limited to dimension {MINOR_ORACLE_LIMIT}; use snf for larger matrices"
-        )
-    out = []
-    g_prev = 1
-    for k in range(1, min(a.rows, a.cols) + 1):
-        g = 0
-        for rset in combinations(range(a.rows), k):
-            for cset in combinations(range(a.cols), k):
-                g = math.gcd(g, determinant(a.submatrix(rset, cset)))
-        if g == 0:
-            break
-        out.append(g // g_prev)
-        g_prev = g
-    return tuple(out)
-
-
 def lattice_coordinates(
     gens: IntMatrix, vectors: IntMatrix
 ) -> Optional[tuple[IntMatrix, IntMatrix]]:
@@ -464,16 +403,14 @@ def lattice_coordinates(
     return IntMatrix(gens.rows, rank, basis), IntMatrix(rank, vectors.cols, tuple(coords))
 
 
-def lattice_contains(gens: IntMatrix, vectors: IntMatrix) -> bool:
-    """Whether every column of ``vectors`` lies in the column lattice of ``gens``."""
-    return lattice_coordinates(gens, vectors) is not None
-
-
 def lattice_equal(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
     """Whether two column-generated lattices coincide (mutual containment)."""
     if gens_a.rows != gens_b.rows:
         raise ValueError("lattices live in different ambient ranks")
-    return lattice_contains(gens_a, gens_b) and lattice_contains(gens_b, gens_a)
+    return (
+        lattice_coordinates(gens_a, gens_b) is not None
+        and lattice_coordinates(gens_b, gens_a) is not None
+    )
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

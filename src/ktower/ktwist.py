@@ -308,13 +308,3 @@ def twisted_k(
         return KResult(space=space, total=total, graded=graded, provenance=notes)
     raise ValueError(f"unsupported space {space!r}")
 
-
-def stabilize(k: KResult) -> KResult:
-    """Tensoring with the compacts leaves K-groups unchanged; only the
-    provenance grows."""
-    return KResult(
-        space=k.space,
-        total=k.total,
-        graded=k.graded,
-        provenance=k.provenance + ("stabilization applied: K-groups unchanged",),
-    )

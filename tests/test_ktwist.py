@@ -21,7 +21,6 @@ from ktower.ktwist import (
     cyclic_order,
     divisibility_table,
     first_trivial_rank,
-    stabilize,
     twisted_k,
 )
 
@@ -280,13 +279,3 @@ class TestSUInfinite:
             if table.first_one is not None:
                 assert first_trivial_rank(level, 64) == table.first_one
 
-
-class TestStabilize:
-    def test_groups_unchanged_provenance_grows(self):
-        k = twisted_k(SUFinite(2, 3))
-        s = stabilize(k)
-        assert s.total == k.total
-        assert s.graded == k.graded
-        assert len(s.provenance) == len(k.provenance) + 1
-        ss = stabilize(s)
-        assert ss.total == s.total

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ktower.fgab
-from helpers import random_valid_hom
+from helpers import element_order, random_valid_hom, zero_hom
 from ktower.fgab import (
     FgAbGroup,
+    GroupElement,
     Homomorphism,
     check_exact,
     cokernel,
@@ -47,7 +48,6 @@ from ktower.towers import (
     builtin_tower,
     constant_tower,
     direct_limit,
-    image_chain,
     inverse_limit,
     is_mittag_leffler,
     lim1,
@@ -116,12 +116,20 @@ class TestMittagLeffler:
 
     def test_doubling_image_chain_classes_are_constant(self):
         # the contrast that forces lattice comparison instead of classes
-        chain = image_chain(doubling_tower(), 0, 5)
-        assert all(g == Z for g in chain)
+        t = doubling_tower()
+        assert all(image(t.composite(0, k))[0] == Z for k in range(6))
 
-    def test_image_chain_respects_bound(self):
-        with pytest.raises(ValueError):
-            image_chain(doubling_tower(bound=4), 2, 3)
+    @pytest.mark.parametrize("group,tail", [(Z, General()), (FgAbGroup.cyclic(4), LevelwiseFinite())])
+    def test_verdicts_respect_bound(self, group, tail):
+        # no verdict fetches a map from above the certification bound
+        def map_at(n):
+            assert n <= 4, f"map at level {n} is past the bound"
+            return Homomorphism(group, group, IntMatrix.from_rows([[2]]))
+
+        t = InverseTower(group_at=lambda n: group, map_at=map_at, tail=tail, bound=4)
+        is_mittag_leffler(t)
+        inverse_limit(t)
+        lim1(t)
 
     def test_finite_tower_forced(self):
         verdict = is_mittag_leffler(builtin_tower("mod2-powers", bound=8))
@@ -187,7 +195,7 @@ class TestInverseLimit:
             return FgAbGroup.cyclic(3) if n < 2 else FgAbGroup.trivial()
 
         def level_map(n):
-            return Homomorphism.zero(level_group(n), level_group(n - 1))
+            return zero_hom(level_group(n), level_group(n - 1))
 
         t = InverseTower(group_at=level_group, map_at=level_map, tail=LevelwiseFinite(), bound=9)
         v = inverse_limit(t)
@@ -217,7 +225,7 @@ class TestDirectLimit:
         g = FgAbGroup.cyclic(2)
         t = DirectTower(
             group_at=lambda n: g,
-            map_at=lambda n: Homomorphism.zero(g, g),
+            map_at=lambda n: zero_hom(g, g),
             tail=LevelwiseFinite(),
             bound=10,
         )
@@ -277,6 +285,14 @@ class TestTruncatedProducts:
         fam = CyclicFamily(1, lambda n: n)
         assert all_ones_order(fam, 10) == math.lcm(*range(1, 11))
 
+    @given(st.lists(st.integers(1, 40), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_all_ones_order_matches_element_orders(self, orders):
+        # the order of 1 in each component Z/m, joined by lcm
+        fam = CyclicFamily(1, lambda n: orders[n - 1])
+        components = [element_order(GroupElement(FgAbGroup.cyclic(m), (1,))) for m in orders if m > 1]
+        assert all_ones_order(fam, len(orders)) == math.lcm(1, *components)
+
     def test_witness_growth(self):
         fam = CyclicFamily(2, lambda n: n)
         w = unbounded_torsion_witness(fam, 20)
@@ -334,8 +350,8 @@ class TestTruncatedProducts:
         assert src.group == truncated_product(fam, upto + 1)
         ker_group, ker_incl = kernel(f)
         assert ker_group == FgAbGroup.cyclic(upto + 1)
-        zero_in = Homomorphism.zero(FgAbGroup.trivial(), ker_group)
-        zero_out = Homomorphism.zero(tgt.group, FgAbGroup.trivial())
+        zero_in = zero_hom(FgAbGroup.trivial(), ker_group)
+        zero_out = zero_hom(tgt.group, FgAbGroup.trivial())
         assert check_exact([zero_in, ker_incl, f, zero_out]).exact
 
 
@@ -369,16 +385,16 @@ class TestLinearCost:
         assert v.witness_level == 0
         assert len(calls) <= bound
 
-    def test_image_chain_single_pass(self, monkeypatch):
+    def test_composite_single_pass(self, monkeypatch):
         t = doubling_tower(bound=64)
         calls = count_compositions(monkeypatch)
-        assert len(image_chain(t, 0, 64)) == 65
+        assert t.composite(0, 64).matrix.entries == ((2**64,),)
         assert len(calls) == 64
 
-    def test_image_chain_matches_composites(self):
+    def test_composite_images_of_reductions(self):
+        # reductions are onto, so every composite into level 3 has image Z/8
         t = builtin_tower("mod2-powers", bound=12)
-        chain = image_chain(t, 3, 9)
-        assert chain == [image(t.composite(3, k))[0] for k in range(10)]
+        assert [image(t.composite(3, k))[0] for k in range(10)] == [FgAbGroup.cyclic(8)] * 10
 
     @pytest.mark.parametrize(
         "name,params",
