@@ -387,7 +387,7 @@ def _handle_product(args):
         "product": group_to_json(truncation),
         "sum": group_to_json(truncation),
         "all_ones_order": str(order),
-        "witness": None if witness is None else {"orders": [str(o) for o in witness.orders]},
+        "witness": None if witness is None else {"orders": [str(o) for o in witness]},
     }
     rows = [
         ["product", group_text(truncation)],
@@ -395,7 +395,7 @@ def _handle_product(args):
         ["all-ones order", str(order)],
         [
             "witness orders",
-            "none" if witness is None else ", ".join(str(o) for o in witness.orders),
+            "none" if witness is None else ", ".join(str(o) for o in witness),
         ],
     ]
     return 0, out, _table(["quantity", "value"], rows)

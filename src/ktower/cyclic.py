@@ -14,7 +14,7 @@ from typing import Union
 
 from .fgab import FgAbGroup
 from .ktwist import KResult, SUFinite, SUInfinite, _check_su_rank, twisted_k
-from .towers import DEFAULT_BOUND, ExactLimit, Lim1Zero, TrivialLimit
+from .towers import DEFAULT_BOUND, Verdict
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class HpTowerReport:
     truncation: int
     levels: tuple[tuple[int, GradedDims], ...]
     surjective_steps: tuple[int, ...]
-    lim1: Lim1Zero
+    lim1: Verdict
     limit_note: str
 
 
@@ -101,7 +101,7 @@ def hp_su_infinity(truncation: int) -> HpTowerReport:
         truncation=truncation,
         levels=levels,
         surjective_steps=tuple(steps),
-        lim1=Lim1Zero(rule="levelwise finite-dimensional with surjective restrictions"),
+        lim1=Verdict("zero", rule="levelwise finite-dimensional with surjective restrictions"),
         limit_note=(
             "formal inverse limit; graded dimensions double with each level, "
             "so the limit is not finite-dimensional"
@@ -123,9 +123,9 @@ class ChernCheck:
 def _rank_of_total(total) -> int:
     if isinstance(total, FgAbGroup):
         return total.free_rank
-    if isinstance(total, TrivialLimit):
+    if total.kind == "trivial":
         return 0
-    if isinstance(total, ExactLimit):
+    if total.kind == "exact-limit":
         return total.group.free_rank
     raise ValueError(
         "cannot rationalize an unresolved limit descriptor; rerun with a bound "

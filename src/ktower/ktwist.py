@@ -17,13 +17,10 @@ from typing import Callable, Iterator, Optional, Union
 from .fgab import FgAbGroup, power
 from .towers import (
     DEFAULT_BOUND,
-    CountableProductDescriptor,
-    CountableSumDescriptor,
+    CountableDescriptor,
     CyclicFamily,
     KGradedGroup,
-    LimitDescriptor,
-    TrivialLimit,
-    UnprovenLimit,
+    Verdict,
     constant_tower,
     direct_limit,
     milnor_assemble,
@@ -188,9 +185,7 @@ def divisibility_table(level: int, n_max: int) -> DivisibilityTable:
 # --- results ------------------------------------------------------------------
 
 
-KTotal = Union[
-    FgAbGroup, LimitDescriptor, CountableProductDescriptor, CountableSumDescriptor
-]
+KTotal = Union[FgAbGroup, Verdict, CountableDescriptor]
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,8 @@ def _su_infinite_graded(
 ) -> tuple[KTotal, KGradedGroup, tuple[str, ...]]:
     n0 = first_trivial_rank(level, bound)
     if n0 is None:
-        verdict = UnprovenLimit(
-            bound, note=f"order parameter never reached 1 for n <= {bound}"
+        verdict = Verdict(
+            "unproven", bound=bound, note=f"order parameter never reached 1 for n <= {bound}"
         )
         return (
             verdict,
@@ -253,8 +248,8 @@ def _su_infinite_graded(
             "Milnor assembly applied degreewise; lim^1 vanishes by the "
             "eventually-constant rule",
         )
-    assert isinstance(graded.k0, TrivialLimit) and isinstance(graded.k1, TrivialLimit)
-    total = TrivialLimit(note=f"all level groups trivial from n = {n0} on")
+    assert graded.k0.kind == graded.k1.kind == "trivial"
+    total = Verdict("trivial", note=f"all level groups trivial from n = {n0} on")
     return total, graded, notes
 
 
@@ -286,13 +281,13 @@ def twisted_k(
         )
     if isinstance(space, SphereDisjointUnion):
         if homology:
-            total = CountableSumDescriptor(space.family())
+            total = CountableDescriptor(space.family(), "countable-sum")
             note = (
                 "K-homology of a countable union is the countable direct sum "
                 "(dual to the K-theory product; finite truncations coincide)"
             )
         else:
-            total = CountableProductDescriptor(space.family())
+            total = CountableDescriptor(space.family(), "countable-product")
             note = (
                 "componentwise odd-degree cyclic groups; K-theory of a countable "
                 "union is the countable product (kept symbolic, truncate to inspect)"

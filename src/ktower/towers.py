@@ -2,16 +2,16 @@
 direct limits, lim^1 verdicts, Milnor-sequence assembly, and truncations
 of countable products of cyclic groups.
 
-Verdicts are honest: every "eventually ..." claim is certified only up
-to the tower's bound, structural rules (eventually constant tails,
-levelwise finiteness) are named in the verdict, and anything that would
-need an unbounded search comes back Unproven instead of guessed.
+Every verdict names its rule, and anything that would need an unbounded
+search comes back unproven instead of guessed.  Rules that read only the
+levels up to the tower's bound say "through bound B" in their note; see
+``Verdict`` for what such a verdict does and does not certify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional, Union
 
 from .fgab import (
@@ -53,129 +53,84 @@ class General:
 TailClass = Union[EventuallyConstant, LevelwiseFinite, General]
 
 
-# --- limit descriptors ------------------------------------------------------
-#
-# Each descriptor renders itself: to_json() is its canonical JSON object,
-# tagged by "kind", and text() its one-line human form.
+# --- verdicts ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExactLimit:
-    """The limit (or colimit) is this group, by the stated rule."""
+class Verdict:
+    """One limit, lim^1 or Mittag-Leffler answer, tagged by ``kind``.
 
-    group: FgAbGroup
-    note: str = ""
+    The other fields are optional and named after their JSON keys:
+    to_json() renders the fields that are set (not None), and text()
+    reads the template of the kind.
 
-    def to_json(self) -> dict:
-        return {"kind": "exact-limit", "group": group_to_json(self.group), "note": self.note}
+    kind                  fields                answers
+    exact-limit           group, note           lim, colim
+    trivial               note                  lim, colim
+    profinite-nontrivial  evidence, note        lim
+    unproven              bound, note           lim, colim
+    unproven              bound                 lim^1
+    zero                  rule                  lim^1
+    nonzero-uncomputed    witness_level, note   lim^1
+    unrepresentable       reason, lim, lim1     a Milnor degree
+    ml-forced             rule                  Mittag-Leffler
+    ml-verified           bound                 Mittag-Leffler
+    ml-failed             witness_level, note   Mittag-Leffler
 
-    def text(self) -> str:
-        return f"{group_text(self.group)} ({self.note})"
+    Only the eventually-constant rules and the Mittag-Leffler rules for
+    lim^1 = 0 hold for the whole tower.  On finite and general tails the
+    rules "levels trivial ... through bound", "stable images carried
+    isomorphically through bound", "stable image orders strictly
+    increase", "connecting maps are isomorphisms ... through bound" and
+    "every generator ... dies by bound" answer from the inspected window
+    only, though their kind reads as a whole-tower answer: levels Z/2,
+    Z/4 tagged "finite" give profinite-nontrivial, yet their limit is Z/4
+    (ROADMAP item K).
+    """
 
-
-@dataclass(frozen=True)
-class TrivialLimit:
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {"kind": "trivial", "note": self.note}
-
-    def text(self) -> str:
-        return f"trivial ({self.note})" if self.note else "trivial"
-
-
-@dataclass(frozen=True)
-class ProfiniteNontrivial:
-    """Stable image orders grow without stabilizing; the limit is a
-    nontrivial profinite-style object not representable here exactly."""
-
-    evidence: tuple[int, ...]
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "profinite-nontrivial",
-            "evidence": [str(e) for e in self.evidence],
-            "note": self.note,
-        }
-
-    def text(self) -> str:
-        shown = ", ".join(str(e) for e in self.evidence[:6])
-        return f"profinite, nontrivial (stable image orders {shown}, ...)"
-
-
-@dataclass(frozen=True)
-class UnprovenLimit:
-    bound: int
-    note: str = ""
+    kind: str
+    _: KW_ONLY
+    note: Optional[str] = None
+    group: Optional[FgAbGroup] = None
+    evidence: Optional[tuple[int, ...]] = None
+    bound: Optional[int] = None
+    rule: Optional[str] = None
+    witness_level: Optional[int] = None
+    reason: Optional[str] = None
+    lim: Optional[Verdict] = None
+    lim1: Optional[Verdict] = None
 
     def to_json(self) -> dict:
-        return {"kind": "unproven", "bound": self.bound, "note": self.note}
+        out = {}
+        for key, value in vars(self).items():  # "kind" first, then the set fields
+            if value is None:
+                continue
+            if key == "group":
+                value = group_to_json(value)
+            elif key == "evidence":
+                value = [str(e) for e in value]
+            elif key in ("lim", "lim1"):
+                value = value.to_json()
+            out[key] = value
+        return out
 
     def text(self) -> str:
-        return f"unproven at bound {self.bound}" + (f" ({self.note})" if self.note else "")
+        return _TEXT[self.kind](self)
 
 
-@dataclass(frozen=True)
-class Lim1Zero:
-    rule: str
-
-    def to_json(self) -> dict:
-        return {"kind": "zero", "rule": self.rule}
-
-    def text(self) -> str:
-        return f"zero ({self.rule})"
-
-
-@dataclass(frozen=True)
-class Lim1NonzeroUncomputed:
-    witness_level: int
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {"kind": "nonzero-uncomputed", "witness_level": self.witness_level, "note": self.note}
-
-    def text(self) -> str:
-        return f"nonzero, not computed (witness level {self.witness_level})"
-
-
-@dataclass(frozen=True)
-class Lim1Unproven:
-    bound: int
-
-    def to_json(self) -> dict:
-        return {"kind": "unproven", "bound": self.bound}
-
-    def text(self) -> str:
-        return f"unproven at bound {self.bound}"
-
-
-Lim1Descriptor = Union[Lim1Zero, Lim1NonzeroUncomputed, Lim1Unproven]
-
-
-@dataclass(frozen=True)
-class Unrepresentable:
-    """A Milnor extension blocked by a possibly nonzero lim^1."""
-
-    reason: str
-    lim: "LimitDescriptor"
-    lim1: Lim1Descriptor
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "unrepresentable",
-            "reason": self.reason,
-            "lim": self.lim.to_json(),
-            "lim1": self.lim1.to_json(),
-        }
-
-    def text(self) -> str:
-        return f"unrepresentable: {self.reason}"
-
-
-LimitDescriptor = Union[
-    ExactLimit, TrivialLimit, ProfiniteNontrivial, UnprovenLimit, Unrepresentable
-]
+_TEXT: dict[str, Callable[[Verdict], str]] = {
+    "exact-limit": lambda v: f"{group_text(v.group)} ({v.note})",
+    "trivial": lambda v: f"trivial ({v.note})" if v.note else "trivial",
+    "profinite-nontrivial": lambda v: "profinite, nontrivial (stable image orders "
+    + ", ".join(str(e) for e in v.evidence[:6]) + ", ...)",
+    "unproven": lambda v: f"unproven at bound {v.bound}" + (f" ({v.note})" if v.note else ""),
+    "zero": lambda v: f"zero ({v.rule})",
+    "nonzero-uncomputed": lambda v: f"nonzero, not computed (witness level {v.witness_level})",
+    "unrepresentable": lambda v: f"unrepresentable: {v.reason}",
+    "ml-forced": lambda v: f"Mittag-Leffler ({v.rule})",
+    "ml-verified": lambda v: f"Mittag-Leffler verified through bound {v.bound}",
+    "ml-failed": lambda v: f"not Mittag-Leffler at level {v.witness_level} ({v.note})",
+}
 
 
 def verdict_json(v) -> dict:
@@ -188,28 +143,6 @@ def verdict_json(v) -> dict:
 def verdict_text(v) -> str:
     """Text form of a verdict: a bare group or any descriptor."""
     return group_text(v) if isinstance(v, FgAbGroup) else v.text()
-
-
-# --- Mittag-Leffler verdicts ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MLForced:
-    rule: str
-
-
-@dataclass(frozen=True)
-class MLVerifiedUpTo:
-    bound: int
-
-
-@dataclass(frozen=True)
-class MLFailedAt:
-    level: int
-    note: str
-
-
-MLVerdict = Union[MLForced, MLVerifiedUpTo, MLFailedAt]
 
 
 # --- towers -----------------------------------------------------------------
@@ -338,8 +271,9 @@ def _bound_composites(t: InverseTower):
         yield level, c, same_subgroup(d_level, c)
 
 
-def is_mittag_leffler(t: InverseTower) -> MLVerdict:
-    """Whether image chains stabilize, as far as can be certified.
+def is_mittag_leffler(t: InverseTower) -> Verdict:
+    """Whether image chains stabilize, as far as can be certified:
+    an ml-forced, ml-failed or ml-verified verdict.
 
     Stabilization is tested on the realizing lattices (the actual
     subgroups), never on abstract isomorphism classes: the (Z, x2) tower
@@ -347,19 +281,26 @@ def is_mittag_leffler(t: InverseTower) -> MLVerdict:
     fail here.
     """
     if isinstance(t.tail, EventuallyConstant):
-        return MLForced("eventually-constant tail: image chains are constant from the tail on")
+        return Verdict(
+            "ml-forced",
+            rule="eventually-constant tail: image chains are constant from the tail on",
+        )
     if isinstance(t.tail, LevelwiseFinite):
-        return MLForced("levelwise finite: decreasing subgroup chains in a finite group stabilize")
+        return Verdict(
+            "ml-forced",
+            rule="levelwise finite: decreasing subgroup chains in a finite group stabilize",
+        )
     for level, _, stable in _bound_composites(t):
         if not stable:
-            return MLFailedAt(
-                level,
-                f"image chain at level {level} is still strictly decreasing at depth {t.bound - level}",
+            return Verdict(
+                "ml-failed",
+                witness_level=level,
+                note=f"image chain at level {level} is still strictly decreasing at depth {t.bound - level}",
             )
-    return MLVerifiedUpTo(t.bound)
+    return Verdict("ml-verified", bound=t.bound)
 
 
-def lim1(t: InverseTower) -> Lim1Descriptor:
+def lim1(t: InverseTower) -> Verdict:
     """lim^1 verdict; never fabricated for general tails.
 
     Zero needs a structural rule (eventually constant or levelwise
@@ -368,11 +309,11 @@ def lim1(t: InverseTower) -> Lim1Descriptor:
     stays Unproven.
     """
     ml = is_mittag_leffler(t)
-    if isinstance(ml, MLForced):
-        return Lim1Zero(rule=f"Mittag-Leffler ({ml.rule})")
-    if isinstance(ml, MLFailedAt):
-        return Lim1NonzeroUncomputed(witness_level=ml.level, note=ml.note)
-    return Lim1Unproven(t.bound)
+    if ml.kind == "ml-forced":
+        return Verdict("zero", rule=f"Mittag-Leffler ({ml.rule})")
+    if ml.kind == "ml-failed":
+        return Verdict("nonzero-uncomputed", witness_level=ml.witness_level, note=ml.note)
+    return Verdict("unproven", bound=t.bound)
 
 
 # --- inverse limit -----------------------------------------------------------
@@ -390,31 +331,42 @@ def _first_all_trivial(t, lo: int, hi: int) -> Optional[int]:
     return n0
 
 
-def inverse_limit(t: InverseTower) -> LimitDescriptor:
-    """Inverse limit verdict by structural rules.
+def _constant_tail_limit(t) -> Verdict:
+    """The (co)limit of an eventually constant tower: its constant value,
+    since the tail is cofinal."""
+    g = t.group_at(t.tail.level)
+    if g.is_trivial():
+        return Verdict("trivial", note=f"constant trivial from level {t.tail.level} on")
+    return Verdict("exact-limit", group=g, note=f"eventually constant from level {t.tail.level} on")
+
+
+def inverse_limit(t: InverseTower) -> Verdict:
+    """Inverse limit verdict.
 
     Eventually constant towers have the constant value as their limit
-    (the tail is cofinal).  Levelwise finite towers are decided from
-    their stable images when those stabilize within the bound: carried
-    isomorphically they give the limit exactly; strictly growing orders
-    are profinite-style evidence.  Everything else is Unproven.
+    (the tail is cofinal); this is the only structural rule.  Levelwise
+    finite towers are answered from the levels up to the bound: all
+    trivial from n0 on gives trivial, stable images carried
+    isomorphically give exact-limit, strictly growing stable image orders
+    give profinite-nontrivial.  These three read the window only, and
+    their kind does not hold for the whole tower (ROADMAP item K).
+    Everything else is Unproven.
     """
     if isinstance(t.tail, EventuallyConstant):
-        g = t.group_at(t.tail.level)
-        if g.is_trivial():
-            return TrivialLimit(note=f"constant trivial from level {t.tail.level} on")
-        return ExactLimit(g, note=f"eventually constant from level {t.tail.level} on")
+        return _constant_tail_limit(t)
     if isinstance(t.tail, LevelwiseFinite):
         n0 = _first_all_trivial(t, t.base, t.bound)
         if n0 is not None:
-            return TrivialLimit(note=f"levels trivial from {n0} through bound {t.bound}")
+            return Verdict("trivial", note=f"levels trivial from {n0} through bound {t.bound}")
         if t.bound - t.base < 1:
-            return UnprovenLimit(t.bound, note="bound too small to analyze stable images")
+            return Verdict("unproven", bound=t.bound, note="bound too small to analyze stable images")
         groups = []
         for level, c, is_stable in _bound_composites(t):
             if not is_stable:
-                return UnprovenLimit(
-                    t.bound, note=f"image chain at level {level} not stabilized within bound"
+                return Verdict(
+                    "unproven",
+                    bound=t.bound,
+                    note=f"image chain at level {level} not stabilized within bound",
                 )
             groups.append(image(c)[0])
         # map_at(L+1) carries im(C_{L+1}) onto im(C_L), since
@@ -422,17 +374,23 @@ def inverse_limit(t: InverseTower) -> LimitDescriptor:
         # isomorphic exactly when the two (finite) images have equal orders.
         orders = [g.order() for g in groups]
         if all(a == b for a, b in zip(orders, orders[1:])):
-            return ExactLimit(
-                groups[0],
+            return Verdict(
+                "exact-limit",
+                group=groups[0],
                 note=f"stable images carried isomorphically through bound {t.bound}",
             )
         if all(b > a for a, b in zip(orders, orders[1:])):
-            return ProfiniteNontrivial(
+            return Verdict(
+                "profinite-nontrivial",
                 evidence=tuple(orders),
                 note="stable image orders strictly increase level by level",
             )
-        return UnprovenLimit(t.bound, note="stable images neither carried isomorphically nor growing")
-    return UnprovenLimit(t.bound, note="no structural rule applies to a general tail")
+        return Verdict(
+            "unproven",
+            bound=t.bound,
+            note="stable images neither carried isomorphically nor growing",
+        )
+    return Verdict("unproven", bound=t.bound, note="no structural rule applies to a general tail")
 
 
 # --- direct limit ------------------------------------------------------------
@@ -444,22 +402,22 @@ def _is_isomorphism(f: Homomorphism) -> bool:
     return f.source == f.target and cokernel(f).is_trivial()
 
 
-def direct_limit(t: DirectTower) -> LimitDescriptor:
-    """Colimit verdict by structural rules.
+def direct_limit(t: DirectTower) -> Verdict:
+    """Colimit verdict.
 
-    Eventually constant (or eventually isomorphic) towers give the
-    stable value; cofinally trivial towers are trivial; a levelwise
-    finite tower whose every generator dies at some later level within
-    the bound is trivial.  Everything else is Unproven.
+    Eventually constant towers give the constant value; this is the only
+    structural rule.  Other towers are answered from the levels up to
+    the bound: all trivial from n0 on gives trivial, connecting maps that
+    are isomorphisms from some level on give exact-limit, and on a
+    levelwise finite tower every generator dying by the bound gives
+    trivial.  These read the window only, and their kind does not hold
+    for the whole tower (ROADMAP item K).  Everything else is Unproven.
     """
     if isinstance(t.tail, EventuallyConstant):
-        g = t.group_at(t.tail.level)
-        if g.is_trivial():
-            return TrivialLimit(note=f"constant trivial from level {t.tail.level} on")
-        return ExactLimit(g, note=f"eventually constant from level {t.tail.level} on")
+        return _constant_tail_limit(t)
     n0 = _first_all_trivial(t, t.base, t.bound)
     if n0 is not None:
-        return TrivialLimit(note=f"levels trivial from {n0} through bound {t.bound}")
+        return Verdict("trivial", note=f"levels trivial from {n0} through bound {t.bound}")
     iso_from = None
     iso: dict[Homomorphism, bool] = {}  # one test per distinct connecting map
     for n in range(t.base, t.bound):
@@ -472,8 +430,9 @@ def direct_limit(t: DirectTower) -> LimitDescriptor:
         else:
             iso_from = None
     if iso_from is not None:
-        return ExactLimit(
-            t.group_at(iso_from),
+        return Verdict(
+            "exact-limit",
+            group=t.group_at(iso_from),
             note=f"connecting maps are isomorphisms from level {iso_from} through bound {t.bound}",
         )
     if isinstance(t.tail, LevelwiseFinite):
@@ -495,10 +454,8 @@ def direct_limit(t: DirectTower) -> LimitDescriptor:
             if not all_die:
                 break
         if all_die:
-            return TrivialLimit(
-                note=f"every generator of every level dies by bound {t.bound}"
-            )
-    return UnprovenLimit(t.bound, note="no structural rule applies within the bound")
+            return Verdict("trivial", note=f"every generator of every level dies by bound {t.bound}")
+    return Verdict("unproven", bound=t.bound, note="no structural rule applies within the bound")
 
 
 # --- Milnor assembly ---------------------------------------------------------
@@ -506,10 +463,11 @@ def direct_limit(t: DirectTower) -> LimitDescriptor:
 
 @dataclass(frozen=True)
 class KGradedGroup:
-    """Z/2-graded result; each degree is a group or a limit descriptor."""
+    """Z/2-graded result; each degree is a group, a verdict or a
+    countable descriptor."""
 
-    k0: Union[FgAbGroup, LimitDescriptor]
-    k1: Union[FgAbGroup, LimitDescriptor]
+    k0: Union[FgAbGroup, Verdict, CountableDescriptor]
+    k1: Union[FgAbGroup, Verdict, CountableDescriptor]
 
     def degree(self, i: int):
         return self.k0 if i % 2 == 0 else self.k1
@@ -527,7 +485,7 @@ def milnor_assemble(deg0: InverseTower, deg1: InverseTower) -> KGradedGroup:
 
     Degree i is an extension of lim by lim^1 of the *other* degree
     (degree 1-i), so degree i is only representable once that lim^1
-    vanishes by rule; otherwise the verdict is Unrepresentable and
+    vanishes by rule; otherwise the verdict is unrepresentable and
     carries both sides of the undetermined extension.
     """
     towers = {0: deg0, 1: deg1}
@@ -536,10 +494,11 @@ def milnor_assemble(deg0: InverseTower, deg1: InverseTower) -> KGradedGroup:
     out = {}
     for i in (0, 1):
         gate = gates[1 - i]
-        if isinstance(gate, Lim1Zero):
+        if gate.kind == "zero":
             out[i] = limits[i]
         else:
-            out[i] = Unrepresentable(
+            out[i] = Verdict(
+                "unrepresentable",
                 reason="extension of the level limit by a possibly nonzero lim^1 is undetermined",
                 lim=limits[i],
                 lim1=gate,
@@ -586,21 +545,16 @@ def all_ones_order(family: CyclicFamily, upto: int) -> int:
     return math.lcm(*(family.order(n) for n in range(family.first, upto + 1)))
 
 
-@dataclass(frozen=True)
-class TorsionWitness:
-    """Strictly increasing all-ones orders observed at truncations."""
-
-    orders: tuple[int, ...]
-
-
-def unbounded_torsion_witness(
-    family: CyclicFamily, bound: int
-) -> Optional[TorsionWitness]:
-    """Evidence of unbounded torsion within the window, or None.
+def unbounded_torsion_witness(family: CyclicFamily, bound: int) -> Optional[tuple[int, ...]]:
+    """Evidence of unbounded torsion within the window: the strictly
+    increasing all-ones orders observed at the truncations, or None.
 
     Records the order of the all-ones element at each truncation and
     keeps the strictly increasing records; a single record means the
     orders never grew, which is no evidence at all.
+
+    >>> unbounded_torsion_witness(CyclicFamily(2, lambda n: n), 6)
+    (2, 6, 12, 60)
     """
     records: list[int] = []
     o = 1  # all_ones_order(family, upto), kept as a running lcm
@@ -608,41 +562,29 @@ def unbounded_torsion_witness(
         o = math.lcm(o, family.order(upto))
         if not records or o > records[-1]:
             records.append(o)
-    if len(records) < 2:
-        return None
-    return TorsionWitness(orders=tuple(records))
+    return tuple(records) if len(records) >= 2 else None
+
+
+_COUNTABLE = {"countable-product": "countable product", "countable-sum": "countable direct sum"}
 
 
 @dataclass(frozen=True, eq=False)
-class CountableProductDescriptor:
-    """Symbolic countable product of cyclic groups, truncatable."""
+class CountableDescriptor:
+    """Symbolic countable product or direct sum of cyclic groups, by
+    ``kind`` ("countable-product" or "countable-sum"); truncations of the
+    two agree."""
 
     family: CyclicFamily
+    kind: str
 
     def truncate(self, upto: int) -> FgAbGroup:
         return truncated_product(self.family, upto)
 
     def to_json(self) -> dict:
-        return {"kind": "countable-product", "first": self.family.first}
+        return {"kind": self.kind, "first": self.family.first}
 
     def text(self) -> str:
-        return f"countable product of cyclic groups from index {self.family.first}"
-
-
-@dataclass(frozen=True, eq=False)
-class CountableSumDescriptor:
-    """Symbolic countable direct sum; truncations agree with the product."""
-
-    family: CyclicFamily
-
-    def truncate(self, upto: int) -> FgAbGroup:
-        return truncated_product(self.family, upto)
-
-    def to_json(self) -> dict:
-        return {"kind": "countable-sum", "first": self.family.first}
-
-    def text(self) -> str:
-        return f"countable direct sum of cyclic groups from index {self.family.first}"
+        return f"{_COUNTABLE[self.kind]} of cyclic groups from index {self.family.first}"
 
 
 # --- named towers and JSON decoding ------------------------------------------
@@ -667,46 +609,24 @@ def builtin_tower(
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise ValueError("tower params must be an object")
-    z = FgAbGroup.free(1)
+    cls = DirectTower if direct else InverseTower
     if name == "z-times-2":
+        z = FgAbGroup.free(1)
         doubling = Homomorphism(z, z, IntMatrix.from_rows([[2]]))
-        cls = DirectTower if direct else InverseTower
-        return cls(
-            group_at=lambda n: z,
-            map_at=lambda n: doubling,
-            base=0,
-            tail=General(),
-            bound=bound,
-        )
+        return cls(group_at=lambda n: z, map_at=lambda n: doubling, tail=General(), bound=bound)
     if name == "mod2-powers":
         def level_group(n: int) -> FgAbGroup:
             return FgAbGroup.cyclic(2**n)
 
-        if direct:
-            def inclusion(n: int) -> Homomorphism:
-                return Homomorphism(
-                    level_group(n), level_group(n + 1), IntMatrix.from_rows([[2]])
-                )
+        step, factor = (1, 2) if direct else (-1, 1)  # inclusions x2, or reductions
 
-            return DirectTower(
-                group_at=level_group,
-                map_at=inclusion,
-                base=1,
-                tail=LevelwiseFinite(),
-                bound=bound,
-            )
-
-        def reduction(n: int) -> Homomorphism:
+        def connecting(n: int) -> Homomorphism:
             return Homomorphism(
-                level_group(n), level_group(n - 1), IntMatrix.from_rows([[1]])
+                level_group(n), level_group(n + step), IntMatrix.from_rows([[factor]])
             )
 
-        return InverseTower(
-            group_at=level_group,
-            map_at=reduction,
-            base=1,
-            tail=LevelwiseFinite(),
-            bound=bound,
+        return cls(
+            group_at=level_group, map_at=connecting, base=1, tail=LevelwiseFinite(), bound=bound
         )
     if name == "constant":
         if "group" not in params:
@@ -793,17 +713,12 @@ def tower_from_json(obj, *, bound: int = DEFAULT_BOUND, direct: bool = False):
     def group_fn(n: int) -> FgAbGroup:
         return prefix[min(n - base, len(prefix) - 1)]
 
-    if direct:
-        def map_fn(n: int) -> Homomorphism:
-            if n - base < len(maps):
-                return maps[n - base]
-            return Homomorphism.identity(prefix[-1])
+    first_map = base if direct else base + 1  # the level whose map is maps[0]
 
-        return DirectTower(group_at=group_fn, map_at=map_fn, base=base, tail=tail, bound=bound)
-
-    def inv_map_fn(n: int) -> Homomorphism:
-        if n - base - 1 < len(maps):
-            return maps[n - base - 1]
+    def map_fn(n: int) -> Homomorphism:
+        if n - first_map < len(maps):
+            return maps[n - first_map]
         return Homomorphism.identity(prefix[-1])
 
-    return InverseTower(group_at=group_fn, map_at=inv_map_fn, base=base, tail=tail, bound=bound)
+    cls = DirectTower if direct else InverseTower
+    return cls(group_at=group_fn, map_at=map_fn, base=base, tail=tail, bound=bound)

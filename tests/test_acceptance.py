@@ -50,10 +50,6 @@ from ktower.ktwist import (
 )
 from ktower.towers import (
     CyclicFamily,
-    Lim1Zero,
-    TrivialLimit,
-    UnprovenLimit,
-    Unrepresentable,
     all_ones_order,
     builtin_graded_pair,
     builtin_tower,
@@ -155,12 +151,12 @@ def test_acceptance_4_su_infinity_triviality(capsys):
             assert n0 is not None and n0 <= 64
             k = twisted_k(SUInfinite(level), bound=64)
             kh = twisted_k(SUInfinite(level), bound=64, homology=True)
-            assert isinstance(k.total, TrivialLimit)
-            assert isinstance(kh.total, TrivialLimit)
+            assert k.total.kind == "trivial"
+            assert kh.total.kind == "trivial"
             assert divisibility_table(level, 64).first_one == n0
         # a bound too small to reach the trivial rank must stay honest
         starved = twisted_k(SUInfinite(2), bound=2)
-        assert isinstance(starved.total, UnprovenLimit)
+        assert starved.total.kind == "unproven"
         code = cli_main(
             ["ktwist", "--space", "su-inf", "--level", "2", "--bound", "2", "--format", "json"]
         )
@@ -172,16 +168,16 @@ def test_acceptance_4_su_infinity_triviality(capsys):
 def test_acceptance_5_milnor_assembly(capsys):
     def body():
         deg0, deg1 = builtin_graded_pair("mod2-powers-pair", bound=12)
-        assert isinstance(lim1(deg0), Lim1Zero)
-        assert isinstance(lim1(deg1), Lim1Zero)
+        assert lim1(deg0).kind == "zero"
+        assert lim1(deg1).kind == "zero"
         graded = milnor_assemble(deg0, deg1)
         assert graded.k0 == inverse_limit(builtin_tower("mod2-powers", bound=12))
         assert graded.k1 == inverse_limit(builtin_tower("trivial", bound=12))
         mixed0, mixed1 = builtin_graded_pair("finite-vs-ztimes2", bound=12)
         mixed = milnor_assemble(mixed0, mixed1)
-        assert isinstance(mixed.k0, Unrepresentable)
+        assert mixed.k0.kind == "unrepresentable"
         assert mixed.k1 == inverse_limit(builtin_tower("z-times-2", bound=12))
-        assert not isinstance(mixed.k1, Unrepresentable)
+        assert mixed.k1.kind != "unrepresentable"
 
     _report(capsys, "acceptance 5/9: Milnor assembly collapses for finite towers, gates across degrees", 2.0, body)
 
@@ -190,10 +186,8 @@ def test_acceptance_6_product_sum_duality(capsys):
     def body():
         family = CyclicFamily(1, lambda n: n)
         assert all_ones_order(family, 10) == 2520
-        witness = unbounded_torsion_witness(family, 30)
-        assert witness is not None
-        orders = witness.orders
-        assert len(orders) >= 2
+        orders = unbounded_torsion_witness(family, 30)
+        assert orders is not None and len(orders) >= 2
         assert all(b > a for a, b in zip(orders, orders[1:]))
         union = SphereDisjointUnion()
         k = twisted_k(union)
@@ -223,7 +217,7 @@ def test_acceptance_7_hp_dimensions(capsys):
             # SU(n-1) < SU(n) restricts onto the level below
             src = graded_dims(su_de_rham(n))
             assert graded_dims(su_de_rham(n - 1)) == GradedDims(src.even // 2, src.odd // 2)
-        assert isinstance(hp_su_infinity(16).lim1, Lim1Zero)
+        assert hp_su_infinity(16).lim1.kind == "zero"
 
     _report(capsys, "acceptance 7/9: HP dimensions match enumeration, restrictions halve, lim1 zero", 5.0, body)
 

@@ -22,19 +22,14 @@ from ktower.fgab import (
 from ktower.intlin import IntMatrix, matrix_to_json
 from ktower.ktwist import MAX_SU_RANK, KTotal
 from ktower.towers import (
-    CountableProductDescriptor,
-    CountableSumDescriptor,
+    CountableDescriptor,
     CyclicFamily,
-    ExactLimit,
-    Lim1Descriptor,
-    Lim1NonzeroUncomputed,
-    Lim1Unproven,
-    Lim1Zero,
-    LimitDescriptor,
-    ProfiniteNontrivial,
-    TrivialLimit,
-    UnprovenLimit,
-    Unrepresentable,
+    Verdict,
+    _COUNTABLE,
+    _TEXT,
+    inverse_limit,
+    lim1,
+    tower_from_json,
     verdict_json,
     verdict_text,
 )
@@ -489,31 +484,43 @@ class TestPlumbing:
         assert code == 1
 
     def test_verdict_json_covers_descriptors(self):
-        assert verdict_json(TrivialLimit(note="x"))["kind"] == "trivial"
-        assert verdict_json(UnprovenLimit(5, note=""))["bound"] == 5
+        assert verdict_json(Verdict("trivial", note="x"))["kind"] == "trivial"
+        assert verdict_json(Verdict("unproven", bound=5, note=""))["bound"] == 5
+        # one sample per kind; a kind without a text template fails here
+        lim1_unproven = Verdict("unproven", bound=3)
+        samples = [
+            Verdict("exact-limit", group=FgAbGroup.cyclic(6), note="n"),
+            Verdict("trivial", note=""),
+            Verdict("profinite-nontrivial", evidence=(2, 4, 8, 16, 32, 64, 128), note="n"),
+            Verdict("unproven", bound=7, note=""),
+            lim1_unproven,
+            Verdict("zero", rule="rule"),
+            Verdict("nonzero-uncomputed", witness_level=4, note="n"),
+            Verdict("unrepresentable", reason="r", lim=Verdict("trivial", note=""), lim1=lim1_unproven),
+            Verdict("ml-forced", rule="rule"),
+            Verdict("ml-verified", bound=3),
+            Verdict("ml-failed", witness_level=0, note="n"),
+        ]
+        assert {v.kind for v in samples} == set(_TEXT)
         family = CyclicFamily(1, lambda n: n)
-        samples = {
-            FgAbGroup: FgAbGroup(1, (2,)),
-            ExactLimit: ExactLimit(FgAbGroup.cyclic(6), note="n"),
-            TrivialLimit: TrivialLimit(),
-            ProfiniteNontrivial: ProfiniteNontrivial((2, 4, 8, 16, 32, 64, 128)),
-            UnprovenLimit: UnprovenLimit(7),
-            Unrepresentable: Unrepresentable("r", TrivialLimit(), Lim1Unproven(3)),
-            Lim1Zero: Lim1Zero("rule"),
-            Lim1NonzeroUncomputed: Lim1NonzeroUncomputed(4),
-            Lim1Unproven: Lim1Unproven(3),
-            CountableProductDescriptor: CountableProductDescriptor(family),
-            CountableSumDescriptor: CountableSumDescriptor(family),
-        }
-        members = set(typing.get_args(LimitDescriptor) + typing.get_args(Lim1Descriptor)
-                      + typing.get_args(KTotal))
-        assert members == set(samples)
-        for cls, v in samples.items():
+        countable = [CountableDescriptor(family, kind) for kind in _COUNTABLE]
+        everything = [FgAbGroup(1, (2,)), *samples, *countable]
+        assert {type(v) for v in everything} == set(typing.get_args(KTotal))
+        for v in everything:
             rendered = verdict_json(v)
             assert isinstance(rendered["kind"], str) and rendered["kind"]
             assert json.loads(canonical_json(rendered)) == rendered
             text = verdict_text(v)
-            assert text and "\n" not in text, cls
+            assert text and "\n" not in text, v
+
+    def test_unproven_keys_differ_between_lim_and_lim1(self):
+        # "unproven" is the one tag two kinds of answer share: a lim^1
+        # verdict carries no note, a limit verdict always does
+        payload = {"prefix": [group_to_json(FgAbGroup.cyclic(4))], "tail": "general"}
+        tower = tower_from_json(payload, bound=6)
+        assert verdict_json(lim1(tower)) == {"kind": "unproven", "bound": 6}
+        limit = verdict_json(inverse_limit(tower))
+        assert limit["kind"] == "unproven" and set(limit) == {"kind", "bound", "note"}
 
 
 class TestGeneratorLimit:

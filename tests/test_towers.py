@@ -23,26 +23,14 @@ from ktower.fgab import (
 )
 from ktower.intlin import IntMatrix
 from ktower.towers import (
-    CountableProductDescriptor,
-    CountableSumDescriptor,
+    CountableDescriptor,
     CyclicFamily,
     DirectTower,
     EventuallyConstant,
-    ExactLimit,
     General,
     InverseTower,
     LevelwiseFinite,
-    Lim1NonzeroUncomputed,
-    Lim1Unproven,
-    Lim1Zero,
-    MLFailedAt,
-    MLForced,
-    MLVerifiedUpTo,
-    ProfiniteNontrivial,
-    TorsionWitness,
-    TrivialLimit,
-    UnprovenLimit,
-    Unrepresentable,
+    Verdict,
     all_ones_order,
     builtin_graded_pair,
     builtin_tower,
@@ -111,8 +99,8 @@ class TestMittagLeffler:
     def test_doubling_tower_fails_at_base(self):
         # every image is isomorphic to Z, yet the chain 2^k Z never stabilizes
         verdict = is_mittag_leffler(doubling_tower())
-        assert isinstance(verdict, MLFailedAt)
-        assert verdict.level == 0
+        assert verdict.kind == "ml-failed"
+        assert verdict.witness_level == 0
 
     def test_doubling_image_chain_classes_are_constant(self):
         # the contrast that forces lattice comparison instead of classes
@@ -133,60 +121,60 @@ class TestMittagLeffler:
 
     def test_finite_tower_forced(self):
         verdict = is_mittag_leffler(builtin_tower("mod2-powers", bound=8))
-        assert isinstance(verdict, MLForced)
+        assert verdict.kind == "ml-forced"
         assert "finite" in verdict.rule
 
     def test_constant_tower_forced(self):
         verdict = is_mittag_leffler(constant_tower(FgAbGroup.cyclic(4)))
-        assert isinstance(verdict, MLForced)
+        assert verdict.kind == "ml-forced"
 
     def test_general_tag_only_verified_up_to_bound(self):
         payload = {"prefix": [group_to_json(FgAbGroup.cyclic(4))], "tail": "general"}
         t = tower_from_json(payload, bound=12)
         verdict = is_mittag_leffler(t)
-        assert verdict == MLVerifiedUpTo(12)
+        assert verdict == Verdict("ml-verified", bound=12)
 
 
 class TestLim1:
     def test_doubling_tower_nonzero(self):
         verdict = lim1(doubling_tower())
-        assert isinstance(verdict, Lim1NonzeroUncomputed)
+        assert verdict.kind == "nonzero-uncomputed"
         assert verdict.witness_level == 0
 
     def test_finite_tower_zero(self):
         verdict = lim1(builtin_tower("mod2-powers", bound=8))
-        assert isinstance(verdict, Lim1Zero)
+        assert verdict.kind == "zero"
 
     def test_general_tag_stays_unproven(self):
         # looking stable within the window is not a proof
         payload = {"prefix": [group_to_json(FgAbGroup.cyclic(4))], "tail": "general"}
-        assert lim1(tower_from_json(payload, bound=12)) == Lim1Unproven(12)
+        assert lim1(tower_from_json(payload, bound=12)) == Verdict("unproven", bound=12)
 
 
 class TestInverseLimit:
     def test_constant_tower_exact(self):
         v = inverse_limit(constant_tower(FgAbGroup.cyclic(6)))
-        assert isinstance(v, ExactLimit)
+        assert v.kind == "exact-limit"
         assert v.group == FgAbGroup.cyclic(6)
 
     def test_constant_trivial(self):
         v = inverse_limit(constant_tower(FgAbGroup.trivial()))
-        assert isinstance(v, TrivialLimit)
+        assert v.kind == "trivial"
 
     def test_mod2_powers_profinite(self):
         v = inverse_limit(builtin_tower("mod2-powers", bound=8))
-        assert isinstance(v, ProfiniteNontrivial)
+        assert v.kind == "profinite-nontrivial"
         assert v.evidence == (2, 4, 8, 16, 32, 64, 128)
 
     def test_doubling_tower_unproven(self):
         v = inverse_limit(doubling_tower(bound=16))
-        assert v == UnprovenLimit(16, note="no structural rule applies to a general tail")
+        assert v == Verdict("unproven", bound=16, note="no structural rule applies to a general tail")
 
     def test_finite_constant_via_stable_images(self):
         # declared levelwise finite, so the stable-image route must fire
         payload = {"prefix": [group_to_json(FgAbGroup.cyclic(5))], "tail": "finite"}
         v = inverse_limit(tower_from_json(payload, bound=10))
-        assert isinstance(v, ExactLimit)
+        assert v.kind == "exact-limit"
         assert v.group == FgAbGroup.cyclic(5)
         assert "stable images" in v.note
 
@@ -199,14 +187,14 @@ class TestInverseLimit:
 
         t = InverseTower(group_at=level_group, map_at=level_map, tail=LevelwiseFinite(), bound=9)
         v = inverse_limit(t)
-        assert isinstance(v, TrivialLimit)
+        assert v.kind == "trivial"
         assert "from 2" in v.note
 
 
 class TestDirectLimit:
     def test_constant(self):
         v = direct_limit(constant_tower(FgAbGroup.cyclic(7), direct=True))
-        assert isinstance(v, ExactLimit)
+        assert v.kind == "exact-limit"
         assert v.group == FgAbGroup.cyclic(7)
 
     def test_eventually_iso_prefix(self):
@@ -218,7 +206,7 @@ class TestDirectLimit:
             "tail": "general",
         }
         v = direct_limit(tower_from_json(payload, bound=10, direct=True))
-        assert isinstance(v, ExactLimit)
+        assert v.kind == "exact-limit"
         assert v.group == h
 
     def test_zero_maps_die(self):
@@ -230,17 +218,17 @@ class TestDirectLimit:
             bound=10,
         )
         v = direct_limit(t)
-        assert isinstance(v, TrivialLimit)
+        assert v.kind == "trivial"
         assert "dies" in v.note
 
     def test_prufer_style_stays_unproven(self):
         # Z/2 -> Z/4 -> Z/8 -> ... colimit is not finitely generated
         v = direct_limit(builtin_tower("mod2-powers", bound=10, direct=True))
-        assert isinstance(v, UnprovenLimit)
+        assert v.kind == "unproven"
 
     def test_doubling_direct_unproven(self):
         v = direct_limit(builtin_tower("z-times-2", bound=10, direct=True))
-        assert isinstance(v, UnprovenLimit)
+        assert v.kind == "unproven"
 
 
 class TestMilnorAssembly:
@@ -248,24 +236,24 @@ class TestMilnorAssembly:
         deg0, deg1 = builtin_graded_pair("finite-vs-ztimes2", bound=16)
         out = milnor_assemble(deg0, deg1)
         # degree 0 is blocked by lim^1 of the degree-1 tower, not its own
-        assert isinstance(out.k0, Unrepresentable)
-        assert isinstance(out.k0.lim, ExactLimit)
+        assert out.k0.kind == "unrepresentable"
+        assert out.k0.lim.kind == "exact-limit"
         assert out.k0.lim.group == FgAbGroup.cyclic(6)
-        assert isinstance(out.k0.lim1, Lim1NonzeroUncomputed)
+        assert out.k0.lim1.kind == "nonzero-uncomputed"
         # degree 1 assembles: its gate (lim^1 of degree 0) vanishes by rule
-        assert isinstance(out.k1, UnprovenLimit)
+        assert out.k1.kind == "unproven"
 
     def test_constant_pair_assembles(self):
         out = milnor_assemble(*builtin_graded_pair("constant-pair", bound=8))
-        assert isinstance(out.k0, ExactLimit) and out.k0.group == FgAbGroup.cyclic(4)
-        assert isinstance(out.k1, ExactLimit) and out.k1.group == FgAbGroup.cyclic(9)
+        assert out.k0.kind == "exact-limit" and out.k0.group == FgAbGroup.cyclic(4)
+        assert out.k1.kind == "exact-limit" and out.k1.group == FgAbGroup.cyclic(9)
         assert out.degree(0) is out.k0
         assert out.degree(7) is out.k1
 
     def test_levelwise_finite_pair_assembles(self):
         out = milnor_assemble(*builtin_graded_pair("mod2-powers-pair", bound=8))
-        assert isinstance(out.k0, ProfiniteNontrivial)
-        assert isinstance(out.k1, TrivialLimit)
+        assert out.k0.kind == "profinite-nontrivial"
+        assert out.k1.kind == "trivial"
 
 
 class TestTruncatedProducts:
@@ -276,8 +264,8 @@ class TestTruncatedProducts:
 
     def test_sum_and_product_truncations_agree(self):
         fam = CyclicFamily(1, lambda n: 2 * n + 1)
-        ps = CountableProductDescriptor(fam)
-        ss = CountableSumDescriptor(fam)
+        ps = CountableDescriptor(fam, "countable-product")
+        ss = CountableDescriptor(fam, "countable-sum")
         for upto in range(1, 8):
             assert ps.truncate(upto) == ss.truncate(upto)
 
@@ -296,9 +284,8 @@ class TestTruncatedProducts:
     def test_witness_growth(self):
         fam = CyclicFamily(2, lambda n: n)
         w = unbounded_torsion_witness(fam, 20)
-        assert isinstance(w, TorsionWitness)
-        assert w.orders[:5] == (2, 6, 12, 60, 420)
-        assert all(b > a for a, b in zip(w.orders, w.orders[1:]))
+        assert w[:5] == (2, 6, 12, 60, 420)
+        assert all(b > a for a, b in zip(w, w[1:]))
 
     def test_no_witness_for_bounded_orders(self):
         assert unbounded_torsion_witness(CyclicFamily(1, lambda n: 2), 30) is None
@@ -313,7 +300,7 @@ class TestTruncatedProducts:
             o = all_ones_order(family, upto)
             if not records or o > records[-1]:
                 records.append(o)
-        return TorsionWitness(tuple(records)) if len(records) >= 2 else None
+        return tuple(records) if len(records) >= 2 else None
 
     @given(st.integers(1, 4), st.lists(st.integers(1, 40), max_size=25), st.integers(-2, 3))
     @settings(max_examples=120, deadline=None)
@@ -374,7 +361,7 @@ class TestLinearCost:
     def test_inverse_limit_compositions_linear(self, monkeypatch, bound):
         calls = count_compositions(monkeypatch)
         v = inverse_limit(builtin_tower("mod2-powers", bound=bound))
-        assert isinstance(v, ProfiniteNontrivial)
+        assert v.kind == "profinite-nontrivial"
         assert len(calls) <= 2 * bound
 
     @pytest.mark.parametrize("bound", [16, 64])
@@ -470,7 +457,7 @@ class TestTowerJson:
         t = tower_from_json(payload, bound=40)
         assert isinstance(t.tail, EventuallyConstant)
         assert t.group_at(33) == g
-        assert inverse_limit(t) == ExactLimit(g, note="eventually constant from level 1 on")
+        assert inverse_limit(t) == Verdict("exact-limit", group=g, note="eventually constant from level 1 on")
 
     def test_map_count_mismatch(self):
         g = FgAbGroup.cyclic(6)
@@ -499,9 +486,6 @@ class TestTowerJson:
 @settings(max_examples=15, deadline=None)
 def test_constant_tower_limits_match_group(order):
     g = FgAbGroup.from_orders([order, order * 2])
-    assert inverse_limit(constant_tower(g)) == ExactLimit(
-        g, note="eventually constant from level 0 on"
-    )
-    assert direct_limit(constant_tower(g, direct=True)) == ExactLimit(
-        g, note="eventually constant from level 0 on"
-    )
+    expected = Verdict("exact-limit", group=g, note="eventually constant from level 0 on")
+    assert inverse_limit(constant_tower(g)) == expected
+    assert direct_limit(constant_tower(g, direct=True)) == expected
