@@ -42,7 +42,6 @@ from .fgab import (
     image,
     kernel,
     power,
-    present,
     same_subgroup,
 )
 from .towers import (
@@ -120,7 +119,6 @@ __all__ = [
     "image",
     "kernel",
     "power",
-    "present",
     "same_subgroup",
     "CountableDescriptor",
     "CyclicFamily",

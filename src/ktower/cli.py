@@ -165,8 +165,8 @@ def _handle_group(args):
 
 def _handle_hom(args):
     f = hom_from_json(_read_payload(args))
-    ker, _ = kernel(f)
-    img, _ = image(f)
+    ker = kernel(f)
+    img = image(f)
     cok = cokernel(f)
     out = {
         "valid": True,
@@ -373,7 +373,17 @@ def _handle_hp(args):
     raise ValueError("hp needs --check, --twisted, or --space su/su-inf")
 
 
+# Largest --truncate and --witness-bound `product` accepts.  The record
+# orders are lcm(1..n), whose digit count grows linearly in n: at 4096
+# they have about 1,800 digits, inside Python's 4,300-digit limit on
+# int-to-str conversion, and the command answers in well under a second.
+MAX_PRODUCT_INDEX = 4096
+
+
 def _handle_product(args):
+    for option, value in (("--truncate", args.truncate), ("--witness-bound", args.witness_bound)):
+        if value > MAX_PRODUCT_INDEX:
+            raise ValueError(f"{option} must be at most {MAX_PRODUCT_INDEX}")
     family = CyclicFamily(1, lambda n: n)
     upto = args.truncate
     if upto < 1:

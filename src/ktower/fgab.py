@@ -25,7 +25,6 @@ from .intlin import (
     matrix_from_json,
     matrix_to_json,
     smith_factors,
-    snf,
 )
 
 
@@ -220,41 +219,10 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * c for c in self.coords))
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
-    """Z^p / (column lattice of relations) with transport both ways.
-
-    to_canonical maps old coordinates to canonical ones; generator_reps
-    gives a representative in Z^p for each canonical generator.
-    """
-
-    group: FgAbGroup
-    to_canonical: IntMatrix
-    generator_reps: IntMatrix
-
-
-def present(relations: IntMatrix) -> QuotientPresentation:
-    """Present Z^rows / im(relations) in canonical form with transport."""
-    p = relations.rows
-    dec = snf(relations)
-    rank = sum(1 for d in dec.factors if d)
-    torsion_idx = [i for i in range(rank) if dec.factors[i] >= 2]
-    free_idx = list(range(rank, p))
-    group = FgAbGroup(len(free_idx), tuple(dec.factors[i] for i in torsion_idx))
-    selected = free_idx + torsion_idx
-    to_canonical = dec.u.submatrix(selected, list(range(p)))
-    generator_reps = dec.u_inv.submatrix(list(range(p)), selected)
-    return QuotientPresentation(
-        group=group, to_canonical=to_canonical, generator_reps=generator_reps
-    )
-
-
 def from_presentation(relations: IntMatrix) -> FgAbGroup:
     """Canonical form of Z^rows modulo the column lattice of ``relations``.
 
-    Only the invariant factors are computed; use present() when the
-    change of basis is needed to transport elements between the
-    presentation and the canonical form.
+    Only the invariant factors are computed, not the change of basis.
 
     >>> from_presentation(IntMatrix.diagonal([2, 1, 0]))
     FgAbGroup(free_rank=1, torsion=(2,))
@@ -359,39 +327,32 @@ def kernel_lattice(f: Homomorphism) -> IntMatrix:
     return proj.hstack(f.source.relation_matrix())
 
 
-def _quotient_as_subgroup(
-    ambient: FgAbGroup, gens: IntMatrix
-) -> tuple[FgAbGroup, Homomorphism]:
-    """Canonical form of (lattice of gens)/(ambient relations), plus the
-    inclusion of that subquotient into the ambient group.
+def _subquotient(ambient: FgAbGroup, gens: IntMatrix) -> FgAbGroup:
+    """Canonical form of (lattice of gens)/(ambient relations).
 
     gens must contain the ambient relation lattice.
     """
-    # the basis has full column rank, so the coordinates w of the ambient
-    # relations in it are unique
+    # the basis has full column rank, so the coordinates of the ambient
+    # relations in it are the relations of the subquotient
     found = lattice_coordinates(gens, ambient.relation_matrix())
     if found is None:
         raise ValueError("generators do not contain the ambient relation lattice")
-    basis, w = found
-    pres = present(w)
-    incl_matrix = basis @ pres.generator_reps
-    incl = Homomorphism(pres.group, ambient, incl_matrix)
-    return pres.group, incl
+    return from_presentation(found[1])
 
 
-def kernel(f: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
-    """Kernel subgroup with its inclusion into the source.
+def kernel(f: Homomorphism) -> FgAbGroup:
+    """Kernel of f as a subgroup of the source, in canonical form.
 
     >>> two = Homomorphism(FgAbGroup.cyclic(4), FgAbGroup.cyclic(4), IntMatrix.from_rows([[2]]))
-    >>> kernel(two)[0]
+    >>> kernel(two)
     FgAbGroup(free_rank=0, torsion=(2,))
     """
-    return _quotient_as_subgroup(f.source, kernel_lattice(f))
+    return _subquotient(f.source, kernel_lattice(f))
 
 
-def image(f: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
-    """Image subgroup with its inclusion into the target."""
-    return _quotient_as_subgroup(f.target, image_lattice(f))
+def image(f: Homomorphism) -> FgAbGroup:
+    """Image of f as a subgroup of the target, in canonical form."""
+    return _subquotient(f.target, image_lattice(f))
 
 
 def cokernel(f: Homomorphism) -> FgAbGroup:

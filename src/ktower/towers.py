@@ -368,7 +368,7 @@ def inverse_limit(t: InverseTower) -> Verdict:
                     bound=t.bound,
                     note=f"image chain at level {level} not stabilized within bound",
                 )
-            groups.append(image(c)[0])
+            groups.append(image(c))
         # map_at(L+1) carries im(C_{L+1}) onto im(C_L), since
         # C_L = map_at(L+1) o C_{L+1} by construction; the carrying is
         # isomorphic exactly when the two (finite) images have equal orders.

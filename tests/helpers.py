@@ -3,15 +3,22 @@
 The oracles recompute facts by element enumeration, minor gcds and
 fraction-free determinants, deliberately avoiding the package's Smith
 and lattice machinery so the two routes stay independent.  The constructors
-at the end (zero maps, the cokernel projection) do use the package.
+at the end (zero maps, transform presentations, subgroup inclusions and the
+cokernel projection) do use the package.
 """
 
 import math
 from itertools import combinations, product
 from typing import Iterator
 
-from ktower.fgab import FgAbGroup, GroupElement, Homomorphism, image_lattice, present
-from ktower.intlin import IntMatrix
+from ktower.fgab import (
+    FgAbGroup,
+    GroupElement,
+    Homomorphism,
+    image_lattice,
+    kernel_lattice,
+)
+from ktower.intlin import IntMatrix, lattice_coordinates, snf
 
 # minor_gcd_factors enumerates all k x k minors, which is only sane for
 # small matrices.
@@ -157,7 +164,50 @@ def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:
     return Homomorphism(source, target, IntMatrix.zero(target.generator_count, source.generator_count))
 
 
+def smith_presentation(relations: IntMatrix) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:
+    """Z^rows / im(relations) in canonical form with transport both ways,
+    read off one transform Smith form.
+
+    Returns (group, to_canonical, generator_reps): to_canonical maps old
+    coordinates to canonical ones, and generator_reps gives a
+    representative in Z^rows for each canonical generator.
+    """
+    p = relations.rows
+    dec = snf(relations)
+    rank = sum(1 for d in dec.factors if d)
+    torsion_idx = [i for i in range(rank) if dec.factors[i] >= 2]
+    selected = list(range(rank, p)) + torsion_idx
+    group = FgAbGroup(p - rank, tuple(dec.factors[i] for i in torsion_idx))
+    to_canonical = dec.u.submatrix(selected, list(range(p)))
+    generator_reps = dec.u_inv.submatrix(list(range(p)), selected)
+    return group, to_canonical, generator_reps
+
+
+def subgroup_inclusion(ambient: FgAbGroup, gens: IntMatrix) -> Homomorphism:
+    """Inclusion of (lattice of gens)/(ambient relations) into the ambient
+    group; gens must contain the ambient relation lattice.
+
+    Construction validates the inclusion as a homomorphism.
+    """
+    found = lattice_coordinates(gens, ambient.relation_matrix())
+    if found is None:
+        raise ValueError("generators do not contain the ambient relation lattice")
+    basis, w = found
+    group, _, generator_reps = smith_presentation(w)
+    return Homomorphism(group, ambient, basis @ generator_reps)
+
+
+def kernel_inclusion(f: Homomorphism) -> Homomorphism:
+    """ker f with its inclusion into f's source."""
+    return subgroup_inclusion(f.source, kernel_lattice(f))
+
+
+def image_inclusion(f: Homomorphism) -> Homomorphism:
+    """im f with its inclusion into f's target."""
+    return subgroup_inclusion(f.target, image_lattice(f))
+
+
 def cokernel_projection(f: Homomorphism) -> Homomorphism:
     """The canonical projection of f's target onto target / im(f)."""
-    pres = present(image_lattice(f))
-    return Homomorphism(f.target, pres.group, pres.to_canonical)
+    group, to_canonical, _ = smith_presentation(image_lattice(f))
+    return Homomorphism(f.target, group, to_canonical)

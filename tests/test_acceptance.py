@@ -15,6 +15,8 @@ from helpers import (
     brute_force_hom_data,
     elements_of,
     finite_group_catalog,
+    image_inclusion,
+    kernel_inclusion,
     minor_gcd_factors,
     random_valid_hom,
     torsion_count,
@@ -266,8 +268,9 @@ def test_acceptance_9_exactness_suite(capsys):
         for _ in range(200):
             f = random_valid_hom(rng, rng.choice(catalog), rng.choice(catalog))
             ker_set, img_set, coker_counts = brute_force_hom_data(f)
-            ker_group, ker_incl = kernel(f)
-            img_group, img_incl = image(f)
+            ker_incl, img_incl = kernel_inclusion(f), image_inclusion(f)
+            ker_group, img_group = ker_incl.source, img_incl.source
+            assert (ker_group, img_group) == (kernel(f), image(f))
             cok = cokernel(f)
             assert ker_group.order() == len(ker_set)
             assert img_group.order() == len(img_set)

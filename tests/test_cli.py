@@ -373,6 +373,19 @@ class TestHp:
         ]
         assert data["lim1"]["kind"] == "zero"
 
+    def test_su_infinity_at_the_rank_limit(self, capsys):
+        # each level's dimensions are one power of two, so the whole tower
+        # at the rank limit answers in about a second
+        code, out, _ = run(
+            capsys, "hp", "--space", "su-inf", "--truncate", str(MAX_SU_RANK),
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["levels"]) == MAX_SU_RANK - 1
+        top = str(2 ** (MAX_SU_RANK - 2))
+        assert data["levels"][-1] == {"n": MAX_SU_RANK, "even": int(top), "odd": int(top)}
+
     def test_twisted_vanishing(self, capsys):
         code, out, _ = run(
             capsys, "hp", "--twisted", "--space", "su", "--n", "3", "--level", "4",
@@ -412,6 +425,27 @@ class TestProduct:
         assert data["all_ones_order"] == "2520"
         assert data["product"] == data["sum"]
         assert data["witness"]["orders"][-1] == "27720"
+
+    @pytest.mark.parametrize("option", ["--truncate", "--witness-bound"])
+    def test_over_the_limit_exits_one(self, capsys, option):
+        # without the limit, --witness-bound 10000 ran the whole lcm and then
+        # failed on Python's 4300-digit int-to-str limit
+        code, out, err = run(capsys, "product", option, str(cli.MAX_PRODUCT_INDEX + 1))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {option} must be at most {cli.MAX_PRODUCT_INDEX}\n"
+
+    def test_limit_itself_is_answered(self, capsys):
+        n = cli.MAX_PRODUCT_INDEX
+        code, out, _ = run(
+            capsys, "product", "--truncate", str(n), "--witness-bound", str(n),
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        lcm = str(math.lcm(*range(1, n + 1)))
+        assert data["all_ones_order"] == lcm
+        assert data["witness"]["orders"][-1] == lcm
 
 
 class TestGrid:
@@ -777,7 +811,7 @@ class TestFactorsOnlyPaths:
         code, out, _ = call(["hom", "--format", "json"], payload)
         assert code == 0 and json.loads(out)["cokernel"] == {"free_rank": 0, "torsion": ["2"]}
         assert during == [0]
-        assert snf_calls  # kernel and image still transport through present()
+        assert snf_calls  # kernel and image still ask lattice_coordinates
 
     def test_colim_isomorphism_test(self, snf_calls):
         code, out, _ = call(["tower", "colim", "--builtin", "z-times-2", "--format", "json"])

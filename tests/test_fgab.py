@@ -11,7 +11,10 @@ from helpers import (
     element_order,
     elements_of,
     finite_group_catalog,
+    image_inclusion,
+    kernel_inclusion,
     random_valid_hom,
+    smith_presentation,
     torsion_count,
     zero_hom,
 )
@@ -31,8 +34,8 @@ from ktower.fgab import (
     hom_to_json,
     image,
     kernel,
+    kernel_lattice,
     power,
-    present,
     same_subgroup,
 )
 from ktower import intlin
@@ -53,6 +56,9 @@ groups = st.tuples(
     st.integers(0, 2),
     st.lists(st.tuples(st.integers(2, 5), st.integers(1, 3)), max_size=3),
 ).map(lambda t: FgAbGroup(t[0], _chain(t[1])))
+finite_groups = st.lists(
+    st.tuples(st.integers(2, 5), st.integers(1, 3)), max_size=3
+).map(lambda pairs: FgAbGroup(0, _chain(pairs)))
 
 
 def _unimodular(rng, n):
@@ -100,9 +106,8 @@ class TestPresentation:
         assert from_presentation(IntMatrix.zero(0, 0)) == FgAbGroup.trivial()
 
     def test_transport_round_trip(self):
-        pres = present(IntMatrix.diagonal([2, 1, 0]))
-        g = pres.group
-        prod = pres.to_canonical @ pres.generator_reps
+        g, to_canonical, generator_reps = smith_presentation(IntMatrix.diagonal([2, 1, 0]))
+        prod = to_canonical @ generator_reps
         assert prod == IntMatrix.identity(g.generator_count)
 
     @settings(max_examples=150, deadline=None)
@@ -118,7 +123,7 @@ class TestPresentation:
         )
     )
     def test_factors_only_matches_present(self, rel):
-        assert from_presentation(rel) == present(rel).group
+        assert from_presentation(rel) == smith_presentation(rel)[0]
 
     def test_unimodular_invariance(self):
         rng = random.Random(7)
@@ -178,7 +183,7 @@ cyclic_orders = st.lists(
 
 def snf_reference(orders):
     """Canonical form of the sum of the Z/d through a Smith normal form."""
-    return present(IntMatrix.diagonal(list(orders))).group
+    return smith_presentation(IntMatrix.diagonal(list(orders)))[0]
 
 
 def is_canonical(g):
@@ -349,7 +354,9 @@ class TestHomomorphisms:
 class TestKernelImageCokernel:
     def test_smith_forms_per_question(self, monkeypatch):
         # validation decides by divisibility; image and kernel each take
-        # their basis and coordinates from one lattice_coordinates call
+        # their coordinates from one lattice_coordinates call and read the
+        # subgroup off transform-free factors; kernel also asks for an
+        # integer kernel
         calls = []
         core = intlin._snf_core
 
@@ -361,20 +368,19 @@ class TestKernelImageCokernel:
         src, tgt = FgAbGroup(1, (2, 4)), FgAbGroup(0, (4, 8))
         f = Homomorphism(src, tgt, IntMatrix.from_rows([[0, 2, 1], [0, 4, 2]]))
         assert calls == []
-        im = image(f)[0]
-        assert len(calls) == 2
+        im = image(f)
+        assert len(calls) == 1
         calls.clear()
-        ker = kernel(f)[0]
-        assert len(calls) == 3
+        ker = kernel(f)
+        assert len(calls) == 2
         assert (im, ker) == (FgAbGroup(0, (4,)), FgAbGroup(1, (2,)))
 
     def test_times_two_on_z(self):
         z = FgAbGroup.free(1)
         f = Homomorphism(z, z, IntMatrix.from_rows([[2]]))
-        k, k_incl = kernel(f)
-        assert k == FgAbGroup.trivial()
-        im, im_incl = image(f)
-        assert im == FgAbGroup.free(1)
+        assert kernel(f) == FgAbGroup.trivial()
+        im_incl = image_inclusion(f)
+        assert im_incl.source == image(f) == FgAbGroup.free(1)
         # the image is 2Z, not Z: inclusion carries the generator to 2
         assert im_incl.matrix.entries in (((2,),), ((-2,),))
         assert cokernel(f) == FgAbGroup.cyclic(2)
@@ -382,16 +388,17 @@ class TestKernelImageCokernel:
     def test_times_two_on_z4(self):
         z4 = FgAbGroup.cyclic(4)
         f = Homomorphism(z4, z4, IntMatrix.from_rows([[2]]))
-        assert kernel(f)[0] == FgAbGroup.cyclic(2)
-        assert image(f)[0] == FgAbGroup.cyclic(2)
+        assert kernel(f) == FgAbGroup.cyclic(2)
+        assert image(f) == FgAbGroup.cyclic(2)
         assert cokernel(f) == FgAbGroup.cyclic(2)
 
     def test_image_vs_kernel_as_subgroups(self):
         # in Z/4, the image of x2 and the kernel of x2 are the same subgroup
         z4 = FgAbGroup.cyclic(4)
         f = Homomorphism(z4, z4, IntMatrix.from_rows([[2]]))
-        _, im_incl = image(f)
-        _, k_incl = kernel(f)
+        im_incl = image_inclusion(f)
+        k_incl = kernel_inclusion(f)
+        assert (im_incl.source, k_incl.source) == (image(f), kernel(f))
         assert same_subgroup(im_incl, k_incl)
 
     def test_distinct_subgroups_same_class(self):
@@ -407,9 +414,22 @@ class TestKernelImageCokernel:
     def test_rank_nullity(self, g, h, seed):
         rng = random.Random(seed)
         f = random_valid_hom(rng, g, h)
-        k, _ = kernel(f)
-        im, _ = image(f)
-        assert k.free_rank + im.free_rank == g.free_rank
+        assert kernel(f).free_rank + image(f).free_rank == g.free_rank
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups, groups, st.integers(0, 10**6))
+    def test_image_is_source_mod_kernel(self, g, h, seed):
+        # G / ker f = im f: the image read through the kernel lattice in the
+        # source, not through the image lattice in the target
+        f = random_valid_hom(random.Random(seed), g, h)
+        assert image(f) == from_presentation(kernel_lattice(f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_groups, finite_groups, st.integers(0, 10**6))
+    def test_orders_multiply_on_finite_groups(self, g, h, seed):
+        f = random_valid_hom(random.Random(seed), g, h)
+        assert kernel(f).order() * image(f).order() == g.order()
+        assert image(f).order() * cokernel(f).order() == h.order()
 
     @settings(max_examples=80, deadline=None)
     @given(groups, groups, st.integers(0, 10**6))
@@ -425,8 +445,9 @@ class TestKernelImageCokernel:
             tgt = rng.choice(catalog)
             f = random_valid_hom(rng, src, tgt)
             ker_set, im_set, coker_counts = brute_force_hom_data(f)
-            k, k_incl = kernel(f)
-            im, im_incl = image(f)
+            k_incl, im_incl = kernel_inclusion(f), image_inclusion(f)
+            k, im = k_incl.source, im_incl.source
+            assert (k, im) == (kernel(f), image(f))
             ck = cokernel(f)
             assert k.order() == len(ker_set)
             assert im.order() == len(im_set)
@@ -488,7 +509,9 @@ class TestExactness:
     def test_cokernel_sequence_always_exact(self, g, h, seed):
         rng = random.Random(seed)
         f = random_valid_hom(rng, g, h)
-        im, incl = image(f)
+        incl = image_inclusion(f)
+        im = incl.source
+        assert im == image(f)
         proj = cokernel_projection(f)
         ck = proj.target
         triv = FgAbGroup.trivial()
