@@ -96,7 +96,12 @@ def _read_payload(args) -> dict:
         text = sys.stdin.read()
     if not text.strip():
         raise ValueError("expected a JSON payload on stdin or via --input")
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the one other ValueError: an integer past Python's digit limit
+        raise ValueError(f"a JSON number has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(obj, dict):
         raise ValueError("payload must be a JSON object")
     return obj
@@ -227,14 +232,8 @@ def _handle_tower(args):
         out = graded.to_json()
         table = _table(["degree", "verdict"], graded.text_rows())
         return _exit_code(out["degree0"], out["degree1"]), out, table
-    if verb == "lim":
-        verdict = inverse_limit(_tower_payload(args, direct=False))
-    elif verb == "lim1":
-        verdict = lim1(_tower_payload(args, direct=False))
-    elif verb == "colim":
-        verdict = direct_limit(_tower_payload(args, direct=True))
-    else:
-        raise ValueError(f"unknown tower verb {verb!r}")
+    answer = {"lim": inverse_limit, "lim1": lim1, "colim": direct_limit}[verb]
+    verdict = answer(_tower_payload(args, direct=verb == "colim"))
     out = {"verdict": verdict.to_json()}
     table = f"verdict: {verdict.text()}\n"
     return _exit_code(out["verdict"]), out, table

@@ -45,20 +45,19 @@ class ExteriorAlgebra:
 
 
 def graded_dims(a: ExteriorAlgebra) -> GradedDims:
-    """Monomial counts by parity of total degree.
-
-    Monomials are the subsets of the generators; with every generator
-    degree odd, a monomial's parity is the parity of its subset size.
-    For g generators, even + odd = (1 + 1)^g and even - odd = (1 - 1)^g,
-    which vanishes for g >= 1, so even = odd = 2^(g-1); the algebra on no
-    generators is one even monomial.
+    """Monomial counts by parity of total degree: (1, 0) on no generators,
+    else 2^(g-1) each, since every generator has odd degree.
 
     >>> graded_dims(ExteriorAlgebra((3,)))
     GradedDims(even=1, odd=1)
     >>> graded_dims(ExteriorAlgebra((3, 5, 7)))
     GradedDims(even=4, odd=4)
     """
-    g = len(a.generator_degrees)
+    return _exterior_dims(len(a.generator_degrees))
+
+
+def _exterior_dims(g: int) -> GradedDims:
+    # hp.exterior-halves: even + odd = (1 + 1)^g and even - odd = (1 - 1)^g
     if g == 0:
         return GradedDims(even=1, odd=0)
     half = 1 << (g - 1)
@@ -93,8 +92,9 @@ def hp_su_infinity(truncation: int) -> HpTowerReport:
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
-    _check_su_rank(truncation)
-    levels = tuple((n, graded_dims(su_de_rham(n))) for n in range(2, truncation + 1))
+    # every level's generators are a prefix of the top level's: one check
+    su_de_rham(truncation)
+    levels = tuple((n, _exterior_dims(n - 1)) for n in range(2, truncation + 1))
     return HpTowerReport(
         truncation=truncation,
         levels=levels,

@@ -8,6 +8,7 @@ floating point, no fixed-width arithmetic, so no overflow anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -440,6 +441,9 @@ def _parse_int(value, what: str) -> int:
         try:
             return int(value, 10)
         except ValueError as exc:  # a bad literal, or more digits than Python converts
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            if sum(c.isdigit() for c in value) > limit > 0:
+                raise ValueError(f"{what} has more than {limit} digits") from None
             raise ValueError(f"{what}: {exc}") from None
     raise ValueError(f"{what} must be an integer or decimal string")
 

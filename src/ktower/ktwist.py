@@ -111,28 +111,27 @@ TwistedSpace = Union[SUFinite, SUInfinite, Sphere3, SphereDisjointUnion]
 
 
 def _running_orders(level: int) -> Iterator[int]:
-    """cyclic_order(n, level) for n = 2, 3, ... in turn.
-
-    One running binomial, C(level+i, i) = C(level+i-1, i-1) * (level+i) / i,
-    and one running gcd serve every n, so the first m orders cost m
-    steps.  Once the gcd reaches 1 it stays there and no more binomials
-    are formed.
-    """
+    """cyclic_order(n, level) for n = 2, 3, ... in turn: level / g with
+    g = gcd(level, lcm(1..n-1)), stepped by gcds with the small number i."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    binom, g, i = 1, 0, 0
-    while g != 1:
+    # su.order-closed-form; the next g is gcd(level, lcm(g, i)), which is
+    # g * gcd(level / g, i / gcd(g, i)) since g divides level
+    g, order, i = 1, level, 1
+    while order != 1:
+        yield order
         i += 1
-        binom = binom * (level + i) // i
-        g = gcd(g, binom - 1)
-        yield g
+        d = gcd(order, i // gcd(g, i))
+        if d != 1:
+            g, order = g * d, order // d
     while True:
         yield 1
 
 
 def cyclic_order(n: int, level: int) -> int:
     """Common order of the cyclic factors in the twisted K-theory of
-    SU(n) at the given level: gcd of C(level+i, i) - 1 over i = 1..n-1.
+    SU(n) at the given level: gcd of C(level+i, i) - 1 over i = 1..n-1,
+    which is level / gcd(level, lcm(1..n-1)).
 
     >>> cyclic_order(2, 7)
     7
@@ -151,10 +150,8 @@ def first_trivial_rank(level: int, bound: int) -> Optional[int]:
     is reached every later level is 1 as well; a hit certifies cofinal
     triviality outright, not merely within the window.
     """
-    for n, order in zip(range(2, bound + 1), _running_orders(level)):
-        if order == 1:
-            return n
-    return None
+    orders = zip(range(2, bound + 1), _running_orders(level))
+    return next((n for n, order in orders if order == 1), None)
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,8 @@ def divisibility_table(level: int, n_max: int) -> DivisibilityTable:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     orders = tuple(islice(_running_orders(level), n_max - 1))
-    # the order at any larger n must divide the order at any smaller n;
-    # divisibility is transitive, so neighbours suffice
+    # su.order-closed-form makes each order divide the one before; check it
+    # on the emitted orders all the same (neighbours suffice by transitivity)
     chain_ok = all(a % b == 0 for a, b in zip(orders, orders[1:]))
     first_one = orders.index(1) + 2 if 1 in orders else None
     return DivisibilityTable(

@@ -1,8 +1,9 @@
 """Shared oracles and constructors for the test suite.
 
-The oracles recompute facts by element enumeration, minor gcds and
-fraction-free determinants, deliberately avoiding the package's Smith
-and lattice machinery so the two routes stay independent.  The constructors
+The oracles recompute facts by element enumeration, minor gcds,
+fraction-free determinants and binomial coefficients, deliberately
+avoiding the package's Smith and lattice machinery and its closed form
+for the order parameter, so the two routes stay independent.  The constructors
 at the end (zero maps, transform presentations, subgroup inclusions and the
 cokernel projection) do use the package.
 """
@@ -158,6 +159,17 @@ def brute_force_hom_data(f: Homomorphism):
         hits = sum(1 for y in elements_of(f.target) if y.scale(m).coords in img)
         coker_counts[m] = hits // len(img)
     return ker, img, coker_counts
+
+
+def binomial_orders(level: int, n_max: int) -> list[int]:
+    """cyclic_order(n, level) for n = 2..n_max from its definition: the
+    running gcd of C(level+i, i) - 1 over i = 1..n-1, with every
+    binomial taken from math.comb."""
+    orders, g = [], 0
+    for i in range(1, n_max):
+        g = math.gcd(g, math.comb(level + i, i) - 1)
+        orders.append(g)
+    return orders
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:

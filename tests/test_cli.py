@@ -152,6 +152,21 @@ class TestGroup:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "order,expected",
+        [
+            ('"' + "7" * 5001 + '"', "error: order has more than 4300 digits\n"),
+            ("7" * 5001, "error: a JSON number has more than 4300 digits\n"),
+        ],
+        ids=["decimal-string", "json-number"],
+    )
+    def test_order_past_the_digit_limit_exits_one(self, capsys, monkeypatch, order, expected):
+        # Python's int() refuses more than 4300 digits; the user gets a
+        # ktower line that names the limit, not Python's text
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"orders": [' + order + "]}"))
+        code, out, err = run(capsys, "group")
+        assert (code, out, err) == (1, "", expected)
+
 
 class TestHom:
     def test_kernel_image_cokernel(self, capsys, tmp_path):
@@ -241,6 +256,36 @@ class TestTower:
         code, out, _ = run(capsys, "tower", "lim", "--input", payload, "--format", "json")
         assert code == 3
         assert json.loads(out)["verdict"]["kind"] == "unproven"
+
+    def test_lim_past_a_trivial_start_is_unproven(self, capsys, tmp_path):
+        # levels 0, 0, 0, Z/2: the levels are not trivial from 0 through bound 5
+        levels = [FgAbGroup.trivial()] * 3 + [FgAbGroup.cyclic(2)]
+        payload = {
+            "prefix": [group_to_json(g) for g in levels],
+            "maps": [hom_to_json(zero_hom(b, a)) for a, b in zip(levels, levels[1:])],
+            "tail": "finite",
+        }
+        code, out, _ = run(
+            capsys, "tower", "lim", "--bound", "5", "--format", "json",
+            "--input", write_payload(tmp_path, payload),
+        )
+        assert (code, json.loads(out)["verdict"]["kind"]) == (3, "unproven")
+
+    def test_colim_generators_alive_at_bound_is_unproven(self, capsys, tmp_path):
+        # four Z/4 levels with x2 maps: a generator of the level at the
+        # bound has not died by the bound
+        z4 = FgAbGroup.cyclic(4)
+        twice = Homomorphism(z4, z4, IntMatrix.from_rows([[2]]))
+        payload = {
+            "prefix": [group_to_json(z4)] * 4,
+            "maps": [hom_to_json(twice)] * 3,
+            "tail": "finite",
+        }
+        code, out, _ = run(
+            capsys, "tower", "colim", "--bound", "2", "--format", "json",
+            "--input", write_payload(tmp_path, payload),
+        )
+        assert (code, json.loads(out)["verdict"]["kind"]) == (3, "unproven")
 
     def test_colim_constant(self, capsys, tmp_path):
         payload = write_payload(

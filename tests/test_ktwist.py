@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import binomial_orders
 from ktower.fgab import FgAbGroup
 from ktower.ktwist import (
     DivisibilityTable,
@@ -62,7 +63,8 @@ def oracle_first_one(orders, bound):
 
 class TestRunningBinomial:
     """cyclic_order, first_trivial_rank and divisibility_table share one
-    running binomial and gcd; the Pascal walk is the independent oracle."""
+    generator, the closed form level / gcd(level, lcm(1..n-1)); the Pascal
+    walk is the independent oracle on small levels."""
 
     def test_oracle_table_agrees_with_oracle_order(self):
         for level in (1, 2, 7, 30, 299):
@@ -101,6 +103,28 @@ class TestRunningBinomial:
 
         monkeypatch.setattr(ktwist, "_running_orders", lambda level: iter((6, 3, 4, 1)))
         assert not divisibility_table(1, 5).chain_ok
+
+
+# primes below 300, so that the prime powers of a level fall on both sides
+# of the ranks the tests reach
+SMALL_PRIMES = [p for p in range(2, 300) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+prime_power_levels = st.lists(
+    st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 12)), min_size=1, max_size=5
+).map(lambda powers: math.prod(p**a for p, a in powers))
+
+
+class TestLargeLevels:
+    """The closed form against the binomial definition (tests/helpers.py)
+    on levels far past the Pascal table."""
+
+    @given(st.one_of(st.integers(1, 10**40), prime_power_levels), st.integers(2, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_binomial_definition(self, level, n):
+        orders = binomial_orders(level, n)
+        assert cyclic_order(n, level) == orders[-1]
+        assert divisibility_table(level, n).orders == tuple(orders)
+        assert first_trivial_rank(level, n) == oracle_first_one(orders, n)
 
 
 class TestCyclicOrder:
