@@ -45,7 +45,6 @@ from .fgab import (
     same_subgroup,
 )
 from .towers import (
-    CountableDescriptor,
     CyclicFamily,
     DirectTower,
     EventuallyConstant,
@@ -120,7 +119,6 @@ __all__ = [
     "kernel",
     "power",
     "same_subgroup",
-    "CountableDescriptor",
     "CyclicFamily",
     "DirectTower",
     "EventuallyConstant",

@@ -55,8 +55,6 @@ from .towers import (
     tower_from_json,
     truncated_product,
     unbounded_torsion_witness,
-    verdict_json,
-    verdict_text,
 )
 
 
@@ -254,7 +252,8 @@ def _space_from_args(args):
         return Sphere3(args.twist)
     if args.space == "s3-union":
         return SphereDisjointUnion()
-    raise ValueError(f"unknown space {args.space!r}")
+    # argparse's choices leave one case: no --space at all
+    raise ValueError(f"{'hp --twisted' if args.command == 'hp' else args.command} needs --space")
 
 
 def _handle_grid(args):
@@ -286,18 +285,16 @@ def _handle_grid(args):
 
 
 def _handle_ktwist(args):
-    if not args.space:
-        raise ValueError("ktwist needs --space")
     space = _space_from_args(args)
     result = twisted_k(space, bound=args.bound, homology=args.homology)
     out = {
         "space": space.to_json(),
         "theory": "k-homology" if args.homology else "k-theory",
-        "k_total": verdict_json(result.total),
+        "k_total": result.total.to_json(),
         "graded": None if result.graded is None else result.graded.to_json(),
         "provenance": list(result.provenance),
     }
-    rows = [["total", verdict_text(result.total)]]
+    rows = [["total", result.total.text()]]
     if result.graded is not None:
         rows += result.graded.text_rows("degree ")
     table = _table(["quantity", "value"], rows)
@@ -421,9 +418,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_arg(text: str) -> int:
+    """argparse's type=int, except that a value past Python's digit limit
+    is named by that limit instead of being echoed back whole."""
+    limit = sys.get_int_max_str_digits()
+    if sum(c.isdigit() for c in text) > limit > 0:
+        raise argparse.ArgumentTypeError(f"has more than {limit} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=64, help="certification bound (>= 2)")
+    common.add_argument("--bound", type=_int_arg, default=64, help="certification bound (>= 2)")
     common.add_argument("--format", choices=("table", "json"), default="table")
     common.add_argument("--output", help="write the rendered output to this file")
     common.add_argument("--input", help="read the JSON payload from this file instead of stdin")
@@ -442,28 +451,28 @@ def _build_parser() -> _Parser:
 
     ktw = sub.add_parser("ktwist", parents=[common], help="twisted K-theory and K-homology")
     ktw.add_argument("--space", choices=("su", "su-inf", "s3", "s3-union"))
-    ktw.add_argument("--n", type=int)
-    ktw.add_argument("--level", type=int)
-    ktw.add_argument("--twist", type=int)
+    ktw.add_argument("--n", type=_int_arg)
+    ktw.add_argument("--level", type=_int_arg)
+    ktw.add_argument("--twist", type=_int_arg)
     ktw.add_argument("--homology", action="store_true", help="compute K-homology instead")
 
     hp = sub.add_parser("hp", parents=[common], help="periodic cyclic dimensions")
     hp.add_argument("--space", choices=("su", "su-inf"))
-    hp.add_argument("--n", type=int)
-    hp.add_argument("--level", type=int)
-    hp.add_argument("--truncate", type=int)
+    hp.add_argument("--n", type=_int_arg)
+    hp.add_argument("--level", type=_int_arg)
+    hp.add_argument("--truncate", type=_int_arg)
     hp.add_argument("--twisted", action="store_true", help="twisted dimensions via the rule chain")
     hp.add_argument("--check", action="store_true", help="rank-consistency check on a JSON payload")
 
     product = sub.add_parser(
         "product", parents=[common], help="truncations of the countable product of Z/n"
     )
-    product.add_argument("--truncate", type=int, default=10)
-    product.add_argument("--witness-bound", type=int, default=30, dest="witness_bound")
+    product.add_argument("--truncate", type=_int_arg, default=10)
+    product.add_argument("--witness-bound", type=_int_arg, default=30, dest="witness_bound")
 
     grid = sub.add_parser("grid", parents=[common], help="order-parameter grid over n and level")
-    grid.add_argument("n_max", type=int)
-    grid.add_argument("level_max", type=int)
+    grid.add_argument("n_max", type=_int_arg)
+    grid.add_argument("level_max", type=_int_arg)
 
     return parser
 

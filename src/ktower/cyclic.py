@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .fgab import FgAbGroup
-from .ktwist import KResult, SUFinite, SUInfinite, _check_su_rank, twisted_k
+from .ktwist import KResult, SUFinite, SUInfinite, _check_su_rank, cyclic_order
 from .towers import DEFAULT_BOUND, Verdict
 
 
@@ -121,12 +121,10 @@ class ChernCheck:
     detail: str
 
 
-def _rank_of_total(total) -> int:
-    if isinstance(total, FgAbGroup):
-        return total.free_rank
+def _rank_of_total(total: Verdict) -> int:
     if total.kind == "trivial":
         return 0
-    if total.kind == "exact-limit":
+    if total.kind in ("group", "exact-limit"):
         return total.group.free_rank
     raise ValueError(
         "cannot rationalize an unresolved limit descriptor; rerun with a bound "
@@ -144,8 +142,7 @@ def chern_rank_check(k: Union[KResult, FgAbGroup], hp_total_dim: int) -> ChernCh
     """
     if hp_total_dim < 0:
         raise ValueError("hp_total_dim must be a natural")
-    total = k.total if isinstance(k, KResult) else k
-    rank = _rank_of_total(total)
+    rank = _rank_of_total(k.total) if isinstance(k, KResult) else k.free_rank
     if rank == hp_total_dim:
         return ChernCheck(True, rank, hp_total_dim, "ranks agree")
     return ChernCheck(
@@ -177,8 +174,10 @@ _TORSION_CHAIN = (
 )
 
 
-def _vanishing_from_torsion(total: FgAbGroup) -> GradedDims:
-    if total.free_rank != 0:
+def _vanishing_from_torsion(n: int, level: int) -> GradedDims:
+    # the K-total of SU(n) is a power of this one cyclic factor, so it is pure
+    # torsion when the factor is; the power itself is never built
+    if FgAbGroup.cyclic(cyclic_order(n, level)).free_rank != 0:
         raise ValueError("vanishing rule chain needs a pure-torsion K-group")
     return GradedDims(0, 0)
 
@@ -194,12 +193,12 @@ def twisted_hp(
     limit and zero derived limit.
     """
     if isinstance(space, SUFinite):
-        dims = _vanishing_from_torsion(twisted_k(space).total)
+        dims = _vanishing_from_torsion(space.n, space.level)
         return TwistedHpResult(dims=dims, provenance=_TORSION_CHAIN)
     if isinstance(space, SUInfinite):
         for n in range(2, 7):
             # raises if any sampled level were not pure torsion
-            _vanishing_from_torsion(twisted_k(SUFinite(n, space.level)).total)
+            _vanishing_from_torsion(n, space.level)
         chain = _TORSION_CHAIN + (
             "the finite-level rule applies at every n (each level total is finite "
             "torsion); sample window n = 2..6 checked explicitly",

@@ -17,7 +17,6 @@ from typing import Callable, Iterator, Optional, Union
 from .fgab import FgAbGroup, power
 from .towers import (
     DEFAULT_BOUND,
-    CountableDescriptor,
     CyclicFamily,
     KGradedGroup,
     Verdict,
@@ -182,16 +181,13 @@ def divisibility_table(level: int, n_max: int) -> DivisibilityTable:
 # --- results ------------------------------------------------------------------
 
 
-KTotal = Union[FgAbGroup, Verdict, CountableDescriptor]
-
-
 @dataclass(frozen=True)
 class KResult:
     """A twisted K-group: the total, an optional graded split, and the
     chain of rules that produced it."""
 
     space: TwistedSpace
-    total: KTotal
+    total: Verdict
     graded: Optional[KGradedGroup]
     provenance: tuple[str, ...]
 
@@ -200,10 +196,10 @@ class KResult:
             raise ValueError("every result must name the rules it applied")
 
 
-def _su_finite_total(space: SUFinite) -> tuple[FgAbGroup, tuple[str, ...]]:
+def _su_finite_total(space: SUFinite) -> tuple[Verdict, tuple[str, ...]]:
     order = cyclic_order(space.n, space.level)
     count = 2 ** (space.n - 1)
-    total = power(FgAbGroup.cyclic(order), count)
+    total = Verdict("group", group=power(FgAbGroup.cyclic(order), count))
     notes = (
         f"each factor is cyclic of order gcd(C(level+i,i)-1, i=1..n-1) = {order}",
         f"2^(n-1) = {count} factors; the parity split is not asserted",
@@ -213,7 +209,7 @@ def _su_finite_total(space: SUFinite) -> tuple[FgAbGroup, tuple[str, ...]]:
 
 def _su_infinite_graded(
     level: int, bound: int, direct: bool
-) -> tuple[KTotal, KGradedGroup, tuple[str, ...]]:
+) -> tuple[Verdict, KGradedGroup, tuple[str, ...]]:
     n0 = first_trivial_rank(level, bound)
     if n0 is None:
         verdict = Verdict(
@@ -267,24 +263,24 @@ def twisted_k(
         total, notes = _su_finite_total(space)
         return KResult(space=space, total=total, graded=None, provenance=notes + agrees)
     if isinstance(space, Sphere3):
-        g = FgAbGroup.cyclic(space.twist)
+        g = Verdict("group", group=FgAbGroup.cyclic(space.twist))
         return KResult(
             space=space,
             total=g,
-            graded=KGradedGroup(FgAbGroup.trivial(), g),
+            graded=KGradedGroup(Verdict("group", group=FgAbGroup.trivial()), g),
             provenance=(
                 "one cyclic factor of order equal to the twist, in odd degree only",
             ) + agrees,
         )
     if isinstance(space, SphereDisjointUnion):
         if homology:
-            total = CountableDescriptor(space.family(), "countable-sum")
+            total = Verdict("countable-sum", first=space.first)
             note = (
                 "K-homology of a countable union is the countable direct sum "
                 "(dual to the K-theory product; finite truncations coincide)"
             )
         else:
-            total = CountableDescriptor(space.family(), "countable-product")
+            total = Verdict("countable-product", first=space.first)
             note = (
                 "componentwise odd-degree cyclic groups; K-theory of a countable "
                 "union is the countable product (kept symbolic, truncate to inspect)"
@@ -292,7 +288,7 @@ def twisted_k(
         return KResult(
             space=space,
             total=total,
-            graded=KGradedGroup(FgAbGroup.trivial(), total),
+            graded=KGradedGroup(Verdict("group", group=FgAbGroup.trivial()), total),
             provenance=(note,),
         )
     if isinstance(space, SUInfinite):

@@ -58,13 +58,17 @@ TailClass = Union[EventuallyConstant, LevelwiseFinite, General]
 
 @dataclass(frozen=True)
 class Verdict:
-    """One limit, lim^1 or Mittag-Leffler answer, tagged by ``kind``.
+    """One answer, tagged by ``kind``: a limit, lim^1 or Mittag-Leffler
+    verdict, or a twisted K total or graded degree.
 
     The other fields are optional and named after their JSON keys:
     to_json() renders the fields that are set (not None), and text()
     reads the template of the kind.
 
     kind                  fields                answers
+    group                 group                 a K total or degree
+    countable-product     first                 a K total or degree
+    countable-sum         first                 a K total or degree
     exact-limit           group, note           lim, colim
     trivial               note                  lim, colim
     profinite-nontrivial  evidence, note        lim
@@ -99,6 +103,7 @@ class Verdict:
     reason: Optional[str] = None
     lim: Optional[Verdict] = None
     lim1: Optional[Verdict] = None
+    first: Optional[int] = None
 
     def to_json(self) -> dict:
         out = {}
@@ -119,6 +124,9 @@ class Verdict:
 
 
 _TEXT: dict[str, Callable[[Verdict], str]] = {
+    "group": lambda v: group_text(v.group),
+    "countable-product": lambda v: f"countable product of cyclic groups from index {v.first}",
+    "countable-sum": lambda v: f"countable direct sum of cyclic groups from index {v.first}",
     "exact-limit": lambda v: f"{group_text(v.group)} ({v.note})",
     "trivial": lambda v: f"trivial ({v.note})" if v.note else "trivial",
     "profinite-nontrivial": lambda v: "profinite, nontrivial (stable image orders "
@@ -131,18 +139,6 @@ _TEXT: dict[str, Callable[[Verdict], str]] = {
     "ml-verified": lambda v: f"Mittag-Leffler verified through bound {v.bound}",
     "ml-failed": lambda v: f"not Mittag-Leffler at level {v.witness_level} ({v.note})",
 }
-
-
-def verdict_json(v) -> dict:
-    """JSON form of a verdict: a bare group or any descriptor."""
-    if isinstance(v, FgAbGroup):
-        return {"kind": "group", "group": group_to_json(v)}
-    return v.to_json()
-
-
-def verdict_text(v) -> str:
-    """Text form of a verdict: a bare group or any descriptor."""
-    return group_text(v) if isinstance(v, FgAbGroup) else v.text()
 
 
 # --- towers -----------------------------------------------------------------
@@ -463,21 +459,20 @@ def direct_limit(t: DirectTower) -> Verdict:
 
 @dataclass(frozen=True)
 class KGradedGroup:
-    """Z/2-graded result; each degree is a group, a verdict or a
-    countable descriptor."""
+    """Z/2-graded result, one verdict per degree."""
 
-    k0: Union[FgAbGroup, Verdict, CountableDescriptor]
-    k1: Union[FgAbGroup, Verdict, CountableDescriptor]
+    k0: Verdict
+    k1: Verdict
 
-    def degree(self, i: int):
+    def degree(self, i: int) -> Verdict:
         return self.k0 if i % 2 == 0 else self.k1
 
     def to_json(self) -> dict:
-        return {"degree0": verdict_json(self.k0), "degree1": verdict_json(self.k1)}
+        return {"degree0": self.k0.to_json(), "degree1": self.k1.to_json()}
 
     def text_rows(self, label: str = "") -> list[list[str]]:
         """One table row per degree, the degree named by label + index."""
-        return [[f"{label}{i}", verdict_text(self.degree(i))] for i in (0, 1)]
+        return [[f"{label}{i}", self.degree(i).text()] for i in (0, 1)]
 
 
 def milnor_assemble(deg0: InverseTower, deg1: InverseTower) -> KGradedGroup:
@@ -563,28 +558,6 @@ def unbounded_torsion_witness(family: CyclicFamily, bound: int) -> Optional[tupl
         if not records or o > records[-1]:
             records.append(o)
     return tuple(records) if len(records) >= 2 else None
-
-
-_COUNTABLE = {"countable-product": "countable product", "countable-sum": "countable direct sum"}
-
-
-@dataclass(frozen=True, eq=False)
-class CountableDescriptor:
-    """Symbolic countable product or direct sum of cyclic groups, by
-    ``kind`` ("countable-product" or "countable-sum"); truncations of the
-    two agree."""
-
-    family: CyclicFamily
-    kind: str
-
-    def truncate(self, upto: int) -> FgAbGroup:
-        return truncated_product(self.family, upto)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "first": self.family.first}
-
-    def text(self) -> str:
-        return f"{_COUNTABLE[self.kind]} of cyclic groups from index {self.family.first}"
 
 
 # --- named towers and JSON decoding ------------------------------------------

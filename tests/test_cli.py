@@ -4,7 +4,6 @@ import math
 import random
 import subprocess
 import sys
-import typing
 from pathlib import Path
 
 import pytest
@@ -20,18 +19,13 @@ from ktower.fgab import (
     hom_to_json,
 )
 from ktower.intlin import IntMatrix, matrix_to_json
-from ktower.ktwist import MAX_SU_RANK, KTotal
+from ktower.ktwist import MAX_SU_RANK
 from ktower.towers import (
-    CountableDescriptor,
-    CyclicFamily,
     Verdict,
-    _COUNTABLE,
     _TEXT,
     inverse_limit,
     lim1,
     tower_from_json,
-    verdict_json,
-    verdict_text,
 )
 
 
@@ -459,6 +453,19 @@ class TestHp:
         code, _, err = run(capsys, "hp")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["hp", "--twisted"], "error: hp --twisted needs --space\n"),
+            (["hp", "--twisted", "--format", "json"], "error: hp --twisted needs --space\n"),
+            (["ktwist"], "error: ktwist needs --space\n"),
+        ],
+        ids=["hp-table", "hp-json", "ktwist"],
+    )
+    def test_twisted_needs_space(self, capsys, argv, expected):
+        # hp --twisted without --space printed "error: unknown space None"
+        assert run(capsys, *argv) == (1, "", expected)
+
 
 class TestProduct:
     def test_all_ones_order(self, capsys):
@@ -509,6 +516,50 @@ class TestGrid:
     def test_bad_dimensions(self, capsys):
         code, _, err = run(capsys, "grid", "1", "3")
         assert code == 1
+
+
+class TestIntegerOptions:
+    """Every integer option and positional is parsed by cli._int_arg: a value
+    past Python's digit limit is named by the limit, not echoed whole."""
+
+    @staticmethod
+    def parse_error(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["ktwist", "--space", "su", "--n", "3", "--level", "7" * 5000],
+             "error: argument --level: has more than 4300 digits"),
+            (["grid", "7" * 5000, "3"], "error: argument n_max: has more than 4300 digits"),
+        ],
+        ids=["option", "positional"],
+    )
+    def test_past_the_digit_limit_exits_one(self, capsys, argv, expected):
+        # the value used to come back in a 5,046-character error line
+        assert self.parse_error(capsys, *argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["ktwist", "--space", "su", "--n", "3", "--level", "x"],
+             "error: argument --level: invalid int value: 'x'"),
+            (["grid", "x", "3"], "error: argument n_max: invalid int value: 'x'"),
+        ],
+        ids=["option", "positional"],
+    )
+    def test_non_numeric_keeps_argparse_text(self, capsys, argv, expected):
+        assert self.parse_error(capsys, *argv) == expected
+
+    def test_limit_itself_is_parsed(self, capsys):
+        # 4300 digits still convert; the rank limit then refuses the value
+        code, out, err = run(capsys, "hp", "--space", "su", "--n", "9" * 4300)
+        assert (code, out, err) == (1, "", f"error: n must be at most {MAX_SU_RANK}\n")
 
 
 class TestPlumbing:
@@ -563,11 +614,14 @@ class TestPlumbing:
         assert code == 1
 
     def test_verdict_json_covers_descriptors(self):
-        assert verdict_json(Verdict("trivial", note="x"))["kind"] == "trivial"
-        assert verdict_json(Verdict("unproven", bound=5, note=""))["bound"] == 5
+        assert Verdict("trivial", note="x").to_json()["kind"] == "trivial"
+        assert Verdict("unproven", bound=5, note="").to_json()["bound"] == 5
         # one sample per kind; a kind without a text template fails here
         lim1_unproven = Verdict("unproven", bound=3)
         samples = [
+            Verdict("group", group=FgAbGroup(1, (2,))),
+            Verdict("countable-product", first=1),
+            Verdict("countable-sum", first=3),
             Verdict("exact-limit", group=FgAbGroup.cyclic(6), note="n"),
             Verdict("trivial", note=""),
             Verdict("profinite-nontrivial", evidence=(2, 4, 8, 16, 32, 64, 128), note="n"),
@@ -581,15 +635,11 @@ class TestPlumbing:
             Verdict("ml-failed", witness_level=0, note="n"),
         ]
         assert {v.kind for v in samples} == set(_TEXT)
-        family = CyclicFamily(1, lambda n: n)
-        countable = [CountableDescriptor(family, kind) for kind in _COUNTABLE]
-        everything = [FgAbGroup(1, (2,)), *samples, *countable]
-        assert {type(v) for v in everything} == set(typing.get_args(KTotal))
-        for v in everything:
-            rendered = verdict_json(v)
-            assert isinstance(rendered["kind"], str) and rendered["kind"]
+        for v in samples:
+            rendered = v.to_json()
+            assert rendered["kind"] == v.kind
             assert json.loads(canonical_json(rendered)) == rendered
-            text = verdict_text(v)
+            text = v.text()
             assert text and "\n" not in text, v
 
     def test_unproven_keys_differ_between_lim_and_lim1(self):
@@ -597,8 +647,8 @@ class TestPlumbing:
         # verdict carries no note, a limit verdict always does
         payload = {"prefix": [group_to_json(FgAbGroup.cyclic(4))], "tail": "general"}
         tower = tower_from_json(payload, bound=6)
-        assert verdict_json(lim1(tower)) == {"kind": "unproven", "bound": 6}
-        limit = verdict_json(inverse_limit(tower))
+        assert lim1(tower).to_json() == {"kind": "unproven", "bound": 6}
+        limit = inverse_limit(tower).to_json()
         assert limit["kind"] == "unproven" and set(limit) == {"kind", "bound", "note"}
 
 
@@ -612,9 +662,6 @@ class TestGeneratorLimit:
             ["ktwist", "--space", "su", "--n", "40", "--level", "997"],
             ["ktwist", "--space", "su", "--n", "40", "--level", "997", "--homology",
              "--format", "json"],
-            ["hp", "--twisted", "--space", "su", "--n", "40", "--level", "997"],
-            ["hp", "--twisted", "--space", "su", "--n", "40", "--level", "997",
-             "--format", "json"],
         ],
     )
     def test_too_many_generators_exits_one(self, capsys, argv):
@@ -622,6 +669,24 @@ class TestGeneratorLimit:
         assert code == 1
         assert out == ""
         assert err == "error: a power with more than 1048576 torsion factors is refused\n"
+
+    @pytest.mark.parametrize("n,level", [("40", "997"), ("25", "29")])
+    def test_twisted_hp_builds_no_k_group(self, capsys, monkeypatch, n, level):
+        # twisted HP reads pure torsion from the one cyclic factor, so a total
+        # too large to build still answers, with the small-n rule chain
+        _, small, _ = run(capsys, "hp", "--twisted", "--space", "su", "--n", "5",
+                          "--level", "3", "--format", "json")
+
+        def refuse(*args):
+            raise AssertionError("twisted HP built a K-group")
+
+        monkeypatch.setattr("ktower.ktwist.power", refuse)
+        code, out, err = run(capsys, "hp", "--twisted", "--space", "su", "--n", n,
+                             "--level", level, "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["dims"] == {"even": 0, "odd": 0}
+        assert data["provenance"] == json.loads(small)["provenance"]
 
     def test_order_one_totals_still_succeed(self, capsys):
         code, out, _ = run(capsys, "ktwist", "--space", "su", "--n", "40", "--level", "1",

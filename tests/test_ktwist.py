@@ -18,6 +18,11 @@ from ktower.ktwist import (
     first_trivial_rank,
     twisted_k,
 )
+from ktower.towers import Verdict, truncated_product
+
+
+def group_verdict(g):
+    return Verdict("group", group=g)
 
 
 def pascal_row(n):
@@ -198,22 +203,22 @@ class TestSpaces:
 
     def test_provenance_required(self):
         with pytest.raises(ValueError):
-            KResult(Sphere3(2), FgAbGroup.cyclic(2), None, ())
+            KResult(Sphere3(2), group_verdict(FgAbGroup.cyclic(2)), None, ())
 
 
 class TestSUFinite:
     def test_small_known_value(self):
         out = twisted_k(SUFinite(2, 2))
-        assert out.total == FgAbGroup(0, (2, 2))
+        assert out.total == group_verdict(FgAbGroup(0, (2, 2)))
         assert out.graded is None
 
     def test_trivial_when_order_one(self):
-        assert twisted_k(SUFinite(3, 2)).total == FgAbGroup.trivial()
+        assert twisted_k(SUFinite(3, 2)).total == group_verdict(FgAbGroup.trivial())
 
     def test_factor_count_and_order(self):
         for n in range(2, 7):
             for level in range(1, 7):
-                total = twisted_k(SUFinite(n, level)).total
+                total = twisted_k(SUFinite(n, level)).total.group
                 order = cyclic_order(n, level)
                 if order == 1:
                     assert total == FgAbGroup.trivial()
@@ -234,17 +239,17 @@ class TestSUFinite:
 class TestSphere3:
     def test_known_value(self):
         out = twisted_k(Sphere3(5))
-        assert out.total == FgAbGroup.cyclic(5)
-        assert out.graded.k0 == FgAbGroup.trivial()
-        assert out.graded.k1 == FgAbGroup.cyclic(5)
+        assert out.total == group_verdict(FgAbGroup.cyclic(5))
+        assert out.graded.k0 == group_verdict(FgAbGroup.trivial())
+        assert out.graded.k1 == group_verdict(FgAbGroup.cyclic(5))
 
     def test_khomology_shape(self):
         out = twisted_k(Sphere3(7), homology=True)
-        assert out.graded.k0 == FgAbGroup.trivial()
-        assert out.graded.k1 == FgAbGroup.cyclic(7)
+        assert out.graded.k0 == group_verdict(FgAbGroup.trivial())
+        assert out.graded.k1 == group_verdict(FgAbGroup.cyclic(7))
 
     def test_rank_zero(self):
-        assert twisted_k(Sphere3(9)).total.free_rank == 0
+        assert twisted_k(Sphere3(9)).total.group.free_rank == 0
 
 
 class TestSphereDisjointUnion:
@@ -252,22 +257,26 @@ class TestSphereDisjointUnion:
         union = SphereDisjointUnion()
         k = twisted_k(union)
         kh = twisted_k(union, homology=True)
-        assert k.total.kind == "countable-product"
-        assert kh.total.kind == "countable-sum"
+        assert k.total == Verdict("countable-product", first=1)
+        assert kh.total == Verdict("countable-sum", first=1)
+        # both totals name the one family whose truncations they share
+        assert k.graded.k1 == k.total and kh.graded.k1 == kh.total
         for upto in range(1, 13):
-            assert k.total.truncate(upto) == kh.total.truncate(upto)
+            assert truncated_product(union.family(), upto) == FgAbGroup.from_orders(
+                range(1, upto + 1)
+            )
 
     def test_truncation_values(self):
-        k = twisted_k(SphereDisjointUnion())
-        assert k.total.truncate(2) == FgAbGroup.cyclic(2)
-        assert k.total.truncate(4) == FgAbGroup.from_orders([2, 3, 4])
+        family = SphereDisjointUnion().family()
+        assert truncated_product(family, 2) == FgAbGroup.cyclic(2)
+        assert truncated_product(family, 4) == FgAbGroup.from_orders([2, 3, 4])
 
     def test_custom_twists(self):
         union = SphereDisjointUnion(twist_of=lambda k: 2 * k, first=1)
-        assert twisted_k(union).total.truncate(3) == FgAbGroup.from_orders([2, 4, 6])
+        assert truncated_product(union.family(), 3) == FgAbGroup.from_orders([2, 4, 6])
 
     def test_even_degree_trivial(self):
-        assert twisted_k(SphereDisjointUnion()).graded.k0 == FgAbGroup.trivial()
+        assert twisted_k(SphereDisjointUnion()).graded.k0 == group_verdict(FgAbGroup.trivial())
 
 
 class TestSUInfinite:
@@ -297,3 +306,22 @@ class TestSUInfinite:
             if table.first_one is not None:
                 assert first_trivial_rank(level, 64) == table.first_one
 
+
+
+class TestOneAnswerRecord:
+    @pytest.mark.parametrize("homology", [False, True], ids=["k-theory", "k-homology"])
+    def test_totals_and_degrees_are_verdicts(self, homology):
+        cases = [
+            (SUFinite(3, 4), 64),
+            (SUInfinite(3), 64),
+            (SUInfinite(2), 2),  # unproven at this bound
+            (Sphere3(5), 64),
+            (SphereDisjointUnion(), 64),
+        ]
+        for space, bound in cases:
+            out = twisted_k(space, bound=bound, homology=homology)
+            answers = [out.total] if out.graded is None else [out.total, out.graded.k0, out.graded.k1]
+            for answer in answers:
+                assert isinstance(answer, Verdict), (space, answer)
+                assert answer.to_json()["kind"] == answer.kind
+                assert "\n" not in answer.text()

@@ -28,7 +28,6 @@ from ktower.fgab import (
 )
 from ktower.intlin import IntMatrix
 from ktower.towers import (
-    CountableDescriptor,
     CyclicFamily,
     DirectTower,
     EventuallyConstant,
@@ -268,11 +267,16 @@ class TestTruncatedProducts:
         assert truncated_product(fam, 4) == FgAbGroup.from_orders([2, 3, 4])
 
     def test_sum_and_product_truncations_agree(self):
+        # a finite direct sum is the finite product: both are the group on
+        # the listed cyclic orders, whichever order they come in
         fam = CyclicFamily(1, lambda n: 2 * n + 1)
-        ps = CountableDescriptor(fam, "countable-product")
-        ss = CountableDescriptor(fam, "countable-sum")
         for upto in range(1, 8):
-            assert ps.truncate(upto) == ss.truncate(upto)
+            orders = [2 * n + 1 for n in range(1, upto + 1)]
+            assert truncated_product(fam, upto) == FgAbGroup.from_orders(orders[::-1])
+        ps = Verdict("countable-product", first=fam.first)
+        ss = Verdict("countable-sum", first=fam.first)
+        assert ps.to_json() == {"kind": "countable-product", "first": 1}
+        assert ss.text() == "countable direct sum of cyclic groups from index 1"
 
     def test_all_ones_order_is_lcm(self):
         fam = CyclicFamily(1, lambda n: n)
